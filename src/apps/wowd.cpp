@@ -6,8 +6,8 @@
 // daemon on this workstation"; this file is just the other composition
 // root (DESIGN §17).
 //
-//   wowd --port=17001 --vip=10.128.0.1 \
-//        --bootstrap=brunet.udp://10.0.0.1:17001 \
+//   wowd --port=17001 --vip=10.128.0.1
+//        --bootstrap=brunet.udp://10.0.0.1:17001
 //        --status-sock=/tmp/wowd.sock
 //
 // A unix status socket answers one-line commands (status / peers /

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 namespace wow {
 
@@ -45,8 +44,9 @@ void FlightRecorder::record(SimTime t, FlightKind kind,
   Entry& e = ring_[next_];
   e.t = t;
   e.kind = kind;
-  std::size_t n = std::min(peer.size(), sizeof e.peer - 1);
-  std::memcpy(e.peer, peer.data(), n);
+  // string_view::copy, not memcpy: a default-constructed view has a
+  // null data(), which memcpy may not be handed even for zero bytes.
+  std::size_t n = peer.copy(e.peer, sizeof e.peer - 1);
   e.peer[n] = '\0';
   e.a = a;
   e.b = b;

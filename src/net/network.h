@@ -48,6 +48,9 @@ class Network {
  public:
   static constexpr DomainId kInternet = 0;
   static constexpr int kMaxRouteSteps = 16;
+  /// Fallback cross-site model until set_default_wan() replaces it.
+  static constexpr LinkModel kDefaultWan{30 * kMillisecond, 2 * kMillisecond,
+                                         0.001};
 
   /// Reasons a datagram can die inside the fabric.  Every value has a
   /// to_string label, a Stats counter and a `net_dropped_<label>` gauge
@@ -247,7 +250,7 @@ class Network {
   std::vector<HostQueue> host_queues_;
   std::vector<std::string> site_names_;
   std::map<std::pair<SiteId, SiteId>, LinkModel> site_links_;
-  LinkModel default_wan_{30 * kMillisecond, 2 * kMillisecond, 0.001};
+  LinkModel default_wan_ = kDefaultWan;
   LinkModel lan_{200 * kMicrosecond, 30 * kMicrosecond, 0.0};
   LinkModel same_site_{1 * kMillisecond, 100 * kMicrosecond, 0.0};
   SimDuration nat_hop_ = 100 * kMicrosecond;

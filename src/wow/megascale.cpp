@@ -1,11 +1,6 @@
 #include "wow/megascale.h"
 
 #include <algorithm>
-#include <unordered_map>
-
-#include "common/ring_id.h"
-#include "p2p/node_deps.h"
-#include "transport/uri.h"
 
 namespace wow {
 
@@ -16,78 +11,26 @@ namespace {
 /// ring defect, which the oracle sweep diagnoses properly).
 constexpr int kMaxProbeHops = 256;
 
+constexpr SimDuration kBatchQuantum = kMillisecond;
+
+FleetSpec fleet_spec(const MegascaleConfig& config) {
+  FleetSpec spec;
+  spec.seed = config.seed;
+  spec.nodes = config.nodes;
+  spec.sites = config.sites;
+  spec.node =
+      config.flyweight ? p2p::NodeConfig::flyweight() : p2p::NodeConfig{};
+  spec.wellknown_endpoints = config.wellknown_endpoints;
+  return spec;
+}
+
 }  // namespace
 
 MegascaleNet::MegascaleNet(const MegascaleConfig& config)
-    : sim(config.seed), network(sim), config_(config),
+    : Fleet(fleet_spec(config)), config_(config),
       probe_rng_(config.seed ^ 0x6d656761736bULL) {
   if (config_.batched_delivery) {
-    network.enable_batched_delivery(config_.batch_quantum);
-  }
-  std::vector<net::SiteId> sites;
-  int site_count = config_.sites > 0 ? config_.sites : 1;
-  sites.reserve(static_cast<std::size_t>(site_count));
-  for (int s = 0; s < site_count; ++s) {
-    sites.push_back(network.add_site("site" + std::to_string(s)));
-  }
-
-  // Topology randomness (bootstrap pool picks) is drawn from its own
-  // stream: the simulator's Rng stays reserved for link jitter so the
-  // event sequence is a pure function of the seed regardless of pool
-  // size.
-  Rng topo(config_.seed ^ 0xb007a11ULL);
-
-  int n = config_.nodes;
-  hosts.reserve(static_cast<std::size_t>(n));
-  nodes.reserve(static_cast<std::size_t>(n));
-  // One shared host class and one shared (empty) name: the whole fleet
-  // costs a single Params pool entry and a single interner slot.
-  net::Host::Config host_config;
-  for (int i = 0; i < n; ++i) {
-    // Flat 129.x.y.z mapping (index bytes): unique and public to 2^24.
-    auto u = static_cast<std::uint32_t>(i);
-    auto ip = net::Ipv4Addr(129, static_cast<std::uint8_t>(u >> 16),
-                            static_cast<std::uint8_t>(u >> 8),
-                            static_cast<std::uint8_t>(u));
-    auto& host = network.add_host(
-        ip, net::Network::kInternet,
-        sites[static_cast<std::size_t>(i % site_count)], host_config);
-    hosts.push_back(&host);
-
-    p2p::NodeConfig cfg =
-        config_.flyweight ? p2p::NodeConfig::flyweight() : p2p::NodeConfig{};
-    cfg.port = 17000;
-    cfg.census_interval = config_.census_interval;
-    if (i > 0 && config_.wellknown_endpoints > 0) {
-      // Flash-crowd shape: every joiner shares the same well-known
-      // multi-endpoint list (the first K hosts), so the bootstrap
-      // service takes the whole join load and must spread it via
-      // rotation + backoff + gossip.  Early joiners only list hosts
-      // that exist before them.
-      int k = std::min(config_.wellknown_endpoints, i);
-      for (int j = 0; j < k; ++j) {
-        cfg.bootstrap.push_back(transport::Uri{
-            transport::TransportKind::kUdp,
-            net::Endpoint{hosts[static_cast<std::size_t>(j)]->ip(), 17000}});
-      }
-    } else if (i > 0) {
-      // Up to bootstrap_pool distinct random earlier nodes; the first
-      // joiner after node 0 necessarily gets node 0.
-      int pool = std::min(config_.bootstrap_pool, i);
-      std::vector<int> picked;
-      for (int p = 0; p < pool; ++p) {
-        int j = static_cast<int>(topo.uniform(0, i - 1));
-        if (std::find(picked.begin(), picked.end(), j) != picked.end()) {
-          continue;  // duplicate draw: a smaller pool is fine
-        }
-        picked.push_back(j);
-        cfg.bootstrap.push_back(transport::Uri{
-            transport::TransportKind::kUdp,
-            net::Endpoint{hosts[static_cast<std::size_t>(j)]->ip(), 17000}});
-      }
-    }
-    nodes.push_back(std::make_unique<p2p::Node>(
-        p2p::NodeDeps::sim(sim, network, host), cfg));
+    network.enable_batched_delivery(kBatchQuantum);
   }
 }
 
@@ -262,24 +205,14 @@ MegascaleNet::JoinStats MegascaleNet::join_latency_stats() const {
 }
 
 std::size_t MegascaleNet::ring_census() const {
-  std::vector<p2p::Node*> live;
-  live.reserve(nodes.size());
-  for (const auto& n : nodes) {
-    if (n->running()) live.push_back(n.get());
-  }
-  return p2p::Oracle::ring_census(live);
+  return p2p::Oracle::ring_census(live());
 }
 
 p2p::OracleReport MegascaleNet::oracle_check(std::size_t max_route_pairs) {
-  std::vector<p2p::Node*> live;
-  live.reserve(nodes.size());
-  for (const auto& n : nodes) {
-    if (n->running()) live.push_back(n.get());
-  }
   p2p::Oracle::Config cfg;
   cfg.seed = config_.seed;
   cfg.max_route_pairs = max_route_pairs;
-  return p2p::Oracle::check(live, sim.now(), cfg);
+  return p2p::Oracle::check(live(), sim.now(), cfg);
 }
 
 }  // namespace wow

@@ -8,10 +8,9 @@
 
 #include "common/rng.h"
 #include "common/time.h"
-#include "net/network.h"
 #include "p2p/node.h"
 #include "p2p/oracle.h"
-#include "sim/simulator.h"
+#include "wow/fleet.h"
 
 namespace wow {
 
@@ -27,25 +26,20 @@ struct MegascaleConfig {
   /// the full-service default — the paired baseline in BENCH_PR7.
   bool flyweight = true;
   /// Coalesced per-host final-hop delivery (one drain event per host
-  /// instead of one event per datagram).  Changes cross-host
-  /// interleaving relative to the exact default path, so it is opt-in.
+  /// per 1 ms quantum instead of one event per datagram).  Changes
+  /// cross-host interleaving relative to the exact default path, so it
+  /// is opt-in.
   bool batched_delivery = true;
-  SimDuration batch_quantum = kMillisecond;
 
   /// Geographic sites, round-robin over hosts.
   int sites = 4;
-  /// Each joiner bootstraps off up to this many random earlier nodes
-  /// (spreads the join load that a single well-known node would take).
-  int bootstrap_pool = 3;
   /// When > 0, joiners skip the random-pool draw and all share the SAME
   /// multi-endpoint bootstrap list: the first `wellknown_endpoints`
   /// hosts.  This is the flash-crowd shape — every newcomer hits the
   /// well-known service, which must spread the load through endpoint
-  /// rotation, backoff, and gossip peer-sampling.
+  /// rotation, backoff, and gossip peer-sampling.  0 bootstraps each
+  /// joiner off a few random earlier nodes (FleetSpec).
   int wellknown_endpoints = 0;
-  /// Per-node ring-census probe period, forwarded into NodeConfig
-  /// (0 = off, the wire-silent default).
-  SimDuration census_interval = 0;
   /// Gap between consecutive node starts.  A ramped join lands each
   /// node on an already-formed ring, so the per-join cost stays
   /// O(log n) messages; 0 starts everyone at once (the stress shape).
@@ -58,12 +52,12 @@ struct MegascaleConfig {
   SimDuration settle_horizon = 30 * kMinute;
 };
 
-/// The megascale overlay under test: simulator + network fabric + n
-/// flyweight (or default) nodes, plus the measurement probes.  All
+/// The megascale overlay under test: a Fleet of n flyweight (or
+/// default) nodes plus its join ramp and measurement probes.  All
 /// probes are pure observers over the connection tables — they draw
 /// nothing from the RNG and schedule nothing, so measuring cannot
 /// perturb a deterministic run.
-class MegascaleNet {
+class MegascaleNet : public Fleet {
  public:
   explicit MegascaleNet(const MegascaleConfig& config);
 
@@ -145,12 +139,6 @@ class MegascaleNet {
   [[nodiscard]] p2p::OracleReport oracle_check(std::size_t max_route_pairs);
 
   [[nodiscard]] std::size_t started() const { return started_; }
-
-  sim::Simulator sim;
-  net::Network network;
-  /// Parallel arrays: hosts[i] backs nodes[i].
-  std::vector<net::Host*> hosts;
-  std::vector<std::unique_ptr<p2p::Node>> nodes;
 
  private:
   /// Nodes ordered by ring address (valid once all joined; rebuilt

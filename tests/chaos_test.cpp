@@ -16,70 +16,8 @@
 namespace wow {
 namespace {
 
-/// A public overlay spread over three WAN sites (4 hosts each), the
-/// smallest topology where partitions and link flaps have teeth.
-struct MultiSiteOverlay {
-  static constexpr int kSites = 3;
-  static constexpr int kPerSite = 4;
-
-  explicit MultiSiteOverlay(std::uint64_t seed, p2p::NodeConfig base = {})
-      : sim(seed), network(sim) {
-    network.set_default_wan(
-        net::LinkModel{30 * kMillisecond, 2 * kMillisecond, 0.002});
-    for (int s = 0; s < kSites; ++s) {
-      sites.push_back(network.add_site("site" + std::to_string(s)));
-    }
-    for (int i = 0; i < kSites * kPerSite; ++i) {
-      int s = i % kSites;
-      auto ip = net::Ipv4Addr(128, static_cast<std::uint8_t>(10 + s), 0,
-                              static_cast<std::uint8_t>(1 + i));
-      net::Host::Config hc;
-      hc.name = "host" + std::to_string(i);
-      auto& host =
-          network.add_host(ip, net::Network::kInternet, sites[
-              static_cast<std::size_t>(s)], hc);
-      hosts.push_back(&host);
-      p2p::NodeConfig cfg = base;
-      cfg.port = 17000;
-      if (i > 0) {
-        cfg.bootstrap = {transport::Uri{
-            transport::TransportKind::kUdp,
-            net::Endpoint{hosts[0]->ip(), 17000}}};
-      }
-      nodes.push_back(std::make_unique<p2p::Node>(
-          p2p::NodeDeps::sim(sim, network, host), cfg));
-    }
-    // Crash faults kill and later restart the overlay process.
-    network.faults().set_crash_handler([this](net::HostId host, bool down) {
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (hosts[i]->id() != host) continue;
-        auto& n = nodes[i];
-        if (down && n->running()) n->stop();
-        if (!down && !n->running()) n->restart();
-      }
-    });
-  }
-
-  void start_all() {
-    for (auto& n : nodes) n->start();
-  }
-
-  [[nodiscard]] std::vector<p2p::Node*> live() const {
-    std::vector<p2p::Node*> out;
-    for (const auto& n : nodes) {
-      if (n->running()) out.push_back(n.get());
-    }
-    return out;
-  }
-
-  sim::Simulator sim;
-  net::Network network;
-  std::vector<net::SiteId> sites;
-  /// Physical hosts, parallel to `nodes` (the node no longer exposes
-  /// its host — the transport seam hides the simulated network).
-  std::vector<net::Host*> hosts;
-  std::vector<std::unique_ptr<p2p::Node>> nodes;
-};
+using testing::MultiSiteOverlay;
+using testing::oracle_check;
 
 net::FaultPlan::RandomParams soak_params(const MultiSiteOverlay& net) {
   net::FaultPlan::RandomParams params;
@@ -160,7 +98,7 @@ TEST(Chaos, PartitionHealsAndOracleConverges) {
                 net::Network::DropReason::kPartition), 0u);
   net.sim.run_for(4 * kMinute);  // repair window
 
-  auto report = p2p::Oracle::check(net.live(), net.sim.now(), {.seed = 11});
+  auto report = oracle_check(net, 11);
   EXPECT_TRUE(report.ok) << report.to_string();
   EXPECT_GT(net.network.faults().stats().faults_healed, 0u);
 }
@@ -214,9 +152,7 @@ TEST(Chaos, DuplicateDeliveryIsTolerated) {
     EXPECT_FALSE(duplicate_entry);
   }
 
-  std::vector<p2p::Node*> live;
-  for (const auto& n : net.nodes) live.push_back(n.get());
-  auto report = p2p::Oracle::check(live, net.sim.now(), {.seed = 21});
+  auto report = oracle_check(net, 21);
   EXPECT_TRUE(report.ok) << report.to_string();
 }
 
@@ -234,11 +170,7 @@ TEST(Chaos, OracleCatchesBrokenKeepalive) {
   net.nodes[3]->stop();  // kill -9, no Close frames
   net.sim.run_for(3 * kMinute);
 
-  std::vector<p2p::Node*> live;
-  for (const auto& n : net.nodes) {
-    if (n->running()) live.push_back(n.get());
-  }
-  auto report = p2p::Oracle::check(live, net.sim.now(), {.seed = 31});
+  auto report = oracle_check(net, 31);
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.to_string().find("VIOLATION"), std::string::npos);
   EXPECT_NE(report.to_string().find("seed=31"), std::string::npos);
@@ -257,12 +189,39 @@ TEST(Chaos, HealthyKeepaliveRepairsSameCrash) {
   // Detection alone costs a ping cycle (~75 s); give repair several more.
   net.sim.run_for(6 * kMinute);
 
-  std::vector<p2p::Node*> live;
-  for (const auto& n : net.nodes) {
-    if (n->running()) live.push_back(n.get());
-  }
-  auto report = p2p::Oracle::check(live, net.sim.now(), {.seed = 31});
+  auto report = oracle_check(net, 31);
   EXPECT_TRUE(report.ok) << report.to_string();
+}
+
+/// A crash fault on a fleet host stops exactly that host's node and the
+/// heal restarts it — for a spec-built node and for one placed by add().
+TEST(Chaos, CrashFaultStopsAndRestartsExactlyItsNode) {
+  MultiSiteOverlay net(5);
+  auto& extra_host = net.network.add_host(
+      net::Ipv4Addr(128, 9, 0, 1), net::Network::kInternet, net.sites[1], {});
+  p2p::NodeConfig extra;
+  extra.bootstrap = {net.uri(0)};
+  net.add(extra_host, extra);
+  net.start_all();
+  net.sim.run_until(2 * kMinute);
+
+  for (std::size_t k : {std::size_t{7}, net.nodes.size() - 1}) {
+    net::FaultSpec crash;
+    crash.kind = net::FaultKind::kCrashHost;
+    crash.at = net.sim.now();
+    crash.duration = kMinute;
+    crash.host = net.hosts[k]->id();
+    net.network.faults().inject(crash);
+    for (std::size_t i = 0; i < net.nodes.size(); ++i) {
+      EXPECT_EQ(net.nodes[i]->running(), i != k)
+          << "crash on host " << k << ", node " << i;
+    }
+    net.sim.run_for(kMinute + kSecond);
+    EXPECT_EQ(net.network.faults().active_faults(), 0u);
+    EXPECT_EQ(net.live().size(), net.nodes.size()) << "heal of host " << k;
+  }
+  net.sim.run_for(3 * kMinute);
+  EXPECT_EQ(net.routable_count(), static_cast<int>(net.nodes.size()));
 }
 
 /// The soak proper: a seeded random schedule of partitions, flaps,
@@ -300,9 +259,8 @@ TEST(Chaos, SeededSoakConvergesAfterHeal) {
 
     net.sim.run_for(5 * kMinute);  // repair window
 
-    auto live = net.live();
-    EXPECT_EQ(live.size(), net.nodes.size()) << reproducer;
-    auto report = p2p::Oracle::check(live, net.sim.now(), {.seed = seed});
+    EXPECT_EQ(net.live().size(), net.nodes.size()) << reproducer;
+    auto report = oracle_check(net, seed);
     EXPECT_TRUE(report.ok) << report.to_string() << "\n  " << reproducer;
   }
 }

@@ -26,12 +26,11 @@ namespace {
 
 // --- dispatch layer -----------------------------------------------------
 
-TEST(HandlerRegistry, RejectsOutOfRangeDuplicateAndNull) {
+TEST(HandlerRegistry, RejectsDuplicateAndNull) {
   p2p::HandlerRegistry<int> reg(4);
   int total = 0;
   EXPECT_TRUE(reg.add(1, [&](int v) { total += v; }));
   EXPECT_FALSE(reg.add(1, [](int) {}));  // duplicate: wiring bug, refused
-  EXPECT_FALSE(reg.add(4, [](int) {}));  // out of range
   EXPECT_FALSE(reg.add(2, nullptr));     // null handler
   EXPECT_EQ(reg.size(), 1u);
   EXPECT_TRUE(reg.contains(1));
@@ -43,8 +42,7 @@ TEST(HandlerRegistry, RejectsOutOfRangeDuplicateAndNull) {
 
 TEST(HandlerRegistry, UnregisteredKindReportsFalseWithoutCrashing) {
   p2p::HandlerRegistry<int> reg(4);
-  EXPECT_FALSE(reg.dispatch(2, 1));    // in range, never registered
-  EXPECT_FALSE(reg.dispatch(200, 1));  // far out of range
+  EXPECT_FALSE(reg.dispatch(2, 1));  // in range, never registered
 
   EXPECT_TRUE(reg.add(2, [](int) {}));
   EXPECT_TRUE(reg.dispatch(2, 1));
@@ -53,6 +51,25 @@ TEST(HandlerRegistry, UnregisteredKindReportsFalseWithoutCrashing) {
   EXPECT_FALSE(reg.dispatch(2, 1));
   EXPECT_EQ(reg.size(), 0u);
 }
+
+// Kinds at or past the table size: registration is refused and nothing
+// else touches the table.  The kind is a test parameter — a run-time
+// value, as a wire-supplied kind is.
+class HandlerRegistryOutOfRange
+    : public ::testing::TestWithParam<std::uint8_t> {};
+
+TEST_P(HandlerRegistryOutOfRange, KindIsRefusedEverywhere) {
+  const std::uint8_t kind = GetParam();
+  p2p::HandlerRegistry<int> reg(4);
+  EXPECT_FALSE(reg.add(kind, [](int) {}));
+  EXPECT_FALSE(reg.contains(kind));
+  EXPECT_FALSE(reg.dispatch(kind, 1));
+  EXPECT_FALSE(reg.remove(kind));
+  EXPECT_EQ(reg.size(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, HandlerRegistryOutOfRange,
+                         ::testing::Values(4, 200, 255));
 
 // An unknown frame kind arriving over the wire is counted and dropped;
 // the node keeps running (the announce table never crashes on garbage).
@@ -94,6 +111,7 @@ struct KeepaliveHarness {
               table.remove(peer);
               km->erase_ping_state(peer);
             },
+            {},  // record_flight
         });
   }
 
@@ -209,6 +227,8 @@ struct CtmHarness {
             [](const p2p::Address&) { return false; },  // is_quarantined
             [] {},                                      // update_routable
             [] {},                                      // count_parse_reject
+            {},                                         // record_flight
+            {},                                         // note_peer
         });
   }
 

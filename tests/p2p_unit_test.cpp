@@ -104,6 +104,8 @@ struct OverlordHarness {
             [this](const Address& a) { return linking.count(a) != 0; },
             [this] { return shortcut_count; },
             [this](const Address& a) { requested.push_back(a); },
+            {},  // is_quarantined
+            {},  // retry_cooldown_hint
         });
   }
 
@@ -256,6 +258,10 @@ struct LinkPair {
               return std::find(established.begin(), established.end(),
                                peer) != established.end();
             },
+            {},  // rto_hint
+            {},  // on_rtt_sample
+            {},  // is_quarantined
+            {},  // reply_rejected
         });
   }
 
@@ -318,6 +324,10 @@ TEST(LinkingEngine, AllUrisDeadReportsFailure) {
           [&failed](const Address&, ConnectionType) { failed = true; },
           [](const transport::Uri&) {},
           [](const Address&) { return false; },
+          {},  // rto_hint
+          {},  // on_rtt_sample
+          {},  // is_quarantined
+          {},  // reply_rejected
       });
   transport::Uri dead{transport::TransportKind::kUdp,
                       net::Endpoint{net::Ipv4Addr(10, 9, 9, 9), 1}};

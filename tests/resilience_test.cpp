@@ -12,6 +12,24 @@ namespace {
 using testing::IpopOverlay;
 using testing::PublicOverlay;
 
+/// Six public routers, each bootstrapping off every router before it.
+FleetSpec router_spec(std::uint64_t seed) {
+  FleetSpec spec;
+  spec.seed = seed;
+  spec.nodes = 6;
+  spec.wellknown_endpoints = 6;
+  return spec;
+}
+
+/// The routers' endpoints: the bootstrap list of a node joining them.
+std::vector<transport::Uri> router_uris(const Fleet& fleet) {
+  std::vector<transport::Uri> uris;
+  for (std::size_t i = 0; i < fleet.nodes.size(); ++i) {
+    uris.push_back(fleet.uri(i));
+  }
+  return uris;
+}
+
 // ---------------------------------------------------------------- churn
 
 TEST(Churn, RingSurvivesRollingRestarts) {
@@ -84,25 +102,14 @@ TEST(NatRenumbering, HomeNodeSurvivesTranslationChange) {
   // NAT's mapping table; old public endpoints die; the node's outbound
   // traffic allocates fresh mappings, keepalives kill stale links, and
   // re-linking restores connectivity.
-  sim::Simulator sim(71);
-  net::Network network(sim);
-  auto site = network.add_site("s");
-
-  std::vector<std::unique_ptr<p2p::Node>> routers;
-  std::vector<transport::Uri> bootstrap;
-  for (int i = 0; i < 6; ++i) {
-    auto& host = network.add_host(
-        net::Ipv4Addr(128, 1, 0, static_cast<std::uint8_t>(i + 1)),
-        net::Network::kInternet, site, net::Host::Config{"r"});
-    p2p::NodeConfig cfg;
-    cfg.port = 17000;
-    if (i > 0) cfg.bootstrap = bootstrap;
-    routers.push_back(std::make_unique<p2p::Node>(
-        p2p::NodeDeps::sim(sim, network, host), cfg));
-    bootstrap.push_back(transport::Uri{
-        transport::TransportKind::kUdp, net::Endpoint{host.ip(), 17000}});
+  Fleet fleet(router_spec(71));
+  sim::Simulator& sim = fleet.sim;
+  net::Network& network = fleet.network;
+  auto site = fleet.sites[0];
+  const auto& routers = fleet.nodes;
+  for (std::size_t i = 0; i < routers.size(); ++i) {
     sim.schedule(static_cast<SimDuration>(i) * 3 * kSecond,
-                 [node = routers.back().get()] { node->start(); });
+                 [node = routers[i].get()] { node->start(); });
   }
   sim.run_for(kMinute);
 
@@ -113,7 +120,7 @@ TEST(NatRenumbering, HomeNodeSurvivesTranslationChange) {
                                      site, net::Host::Config{"home"});
   ipop::IpopNode::Config cfg;
   cfg.vip = net::Ipv4Addr(172, 16, 1, 34);
-  cfg.p2p.bootstrap = bootstrap;
+  cfg.p2p.bootstrap = router_uris(fleet);
   ipop::IpopNode node(p2p::NodeDeps::sim(sim, network, home_host), cfg);
   node.start();
   sim.run_for(2 * kMinute);
@@ -193,25 +200,11 @@ TEST_P(NatTraversalMatrix, TwoNatedPeersEventuallyLink) {
   // exception: hole punching needs stable per-destination ports, so
   // only multi-hop connectivity is required there).
   NatCase param = GetParam();
-  sim::Simulator sim(79);
-  net::Network network(sim);
-  auto site = network.add_site("s");
-
-  std::vector<std::unique_ptr<p2p::Node>> routers;
-  std::vector<transport::Uri> bootstrap;
-  for (int i = 0; i < 6; ++i) {
-    auto& host = network.add_host(
-        net::Ipv4Addr(128, 1, 0, static_cast<std::uint8_t>(i + 1)),
-        net::Network::kInternet, site, net::Host::Config{"r"});
-    p2p::NodeConfig cfg;
-    cfg.port = 17000;
-    if (i > 0) cfg.bootstrap = bootstrap;
-    routers.push_back(std::make_unique<p2p::Node>(
-        p2p::NodeDeps::sim(sim, network, host), cfg));
-    bootstrap.push_back(transport::Uri{
-        transport::TransportKind::kUdp, net::Endpoint{host.ip(), 17000}});
-    routers.back()->start();
-  }
+  Fleet fleet(router_spec(79));
+  sim::Simulator& sim = fleet.sim;
+  net::Network& network = fleet.network;
+  auto site = fleet.sites[0];
+  fleet.start_all();
 
   auto make_node = [&](std::uint8_t n, net::Ipv4Addr vip) {
     net::NatBox::Config nat;
@@ -224,7 +217,7 @@ TEST_P(NatTraversalMatrix, TwoNatedPeersEventuallyLink) {
                                   site, net::Host::Config{"vm"});
     ipop::IpopNode::Config cfg;
     cfg.vip = vip;
-    cfg.p2p.bootstrap = bootstrap;
+    cfg.p2p.bootstrap = router_uris(fleet);
     cfg.p2p.shortcut.threshold = 5.0;
     return std::make_unique<ipop::IpopNode>(
           p2p::NodeDeps::sim(sim, network, host), cfg);

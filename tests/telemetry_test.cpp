@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/flight_recorder.h"
@@ -202,6 +203,15 @@ TEST(FlightRecorderTest, PeerBriefIsTruncatedSafely) {
             "a-much-longer-name-than-fits", 1, 2);
   fr.for_each([&](const FlightRecorder::Entry& e) {
     EXPECT_EQ(std::string(e.peer), "a-much-lon");  // 10 chars + NUL
+  });
+}
+
+TEST(FlightRecorderTest, NullPeerViewRecordsEmptyPeer) {
+  FlightRecorder fr(2);
+  fr.record(kSecond, FlightKind::kStop, std::string_view{}, 0, 0);
+  ASSERT_EQ(fr.size(), 1u);
+  fr.for_each([&](const FlightRecorder::Entry& e) {
+    EXPECT_EQ(std::string(e.peer), "");
   });
 }
 

@@ -2,63 +2,59 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ipop/ipop_node.h"
 #include "net/network.h"
 #include "p2p/node.h"
+#include "p2p/oracle.h"
 #include "sim/simulator.h"
 #include "transport/uri.h"
+#include "wow/fleet.h"
 
 namespace wow::testing {
 
 /// A small all-public overlay for protocol tests: `n` hosts at one site,
 /// each running one P2P node; every node bootstraps off node 0.
-struct PublicOverlay {
+struct PublicOverlay : Fleet {
   explicit PublicOverlay(int n, std::uint64_t seed = 7,
                          p2p::NodeConfig base = {})
-      : sim(seed), network(sim) {
-    site = network.add_site("site0");
-    for (int i = 0; i < n; ++i) {
-      auto ip = net::Ipv4Addr(128, 1, static_cast<std::uint8_t>(i / 250),
-                              static_cast<std::uint8_t>(1 + i % 250));
-      net::Host::Config hc;
-      hc.name = "host" + std::to_string(i);
-      auto& host = network.add_host(ip, net::Network::kInternet, site, hc);
-      hosts.push_back(&host);
-      p2p::NodeConfig cfg = base;
-      cfg.port = 17000;
-      if (i > 0) {
-        cfg.bootstrap = {transport::Uri{
-            transport::TransportKind::kUdp,
-            net::Endpoint{hosts[0]->ip(), 17000}}};
-      }
-      nodes.push_back(std::make_unique<p2p::Node>(
-          p2p::NodeDeps::sim(sim, network, host), cfg));
-    }
-  }
+      : Fleet(spec(n, seed, std::move(base))) {}
 
-  void start_all() {
-    for (auto& n : nodes) n->start();
+  static FleetSpec spec(int n, std::uint64_t seed, p2p::NodeConfig base) {
+    FleetSpec s;
+    s.seed = seed;
+    s.nodes = n;
+    s.node = std::move(base);
+    return s;
   }
-
-  /// Count nodes that report full routability.
-  [[nodiscard]] int routable_count() const {
-    int c = 0;
-    for (const auto& n : nodes) {
-      if (n->routable()) ++c;
-    }
-    return c;
-  }
-
-  sim::Simulator sim;
-  net::Network network;
-  net::SiteId site = 0;
-  /// Physical hosts, parallel to `nodes` (the node no longer exposes
-  /// its host — the transport seam hides the simulated network).
-  std::vector<net::Host*> hosts;
-  std::vector<std::unique_ptr<p2p::Node>> nodes;
 };
+
+/// A public overlay spread over three WAN sites (4 hosts each) on a WAN
+/// with twice the default loss: the smallest topology where partitions
+/// and link flaps have teeth, and where one site-pair path going dark
+/// leaves ring neighbors that a node at the third site can relay for.
+struct MultiSiteOverlay : Fleet {
+  explicit MultiSiteOverlay(std::uint64_t seed) : Fleet(spec(seed)) {}
+
+  static FleetSpec spec(std::uint64_t seed) {
+    FleetSpec s;
+    s.seed = seed;
+    s.nodes = 12;
+    s.sites = 3;
+    s.wan.loss = 0.002;
+    return s;
+  }
+};
+
+/// Oracle sweep over the fleet's running nodes; `seed` is echoed into
+/// the report as the reproducer.
+inline p2p::OracleReport oracle_check(const Fleet& net, std::uint64_t seed) {
+  p2p::Oracle::Config cfg;
+  cfg.seed = seed;
+  return p2p::Oracle::check(net.live(), net.sim.now(), cfg);
+}
 
 /// A small virtual cluster for IPOP/TCP tests: one public router node
 /// plus `n` IPOP compute nodes (all public hosts at one site).  Virtual
