@@ -12,6 +12,7 @@ enum class PbsMsg : std::uint8_t {
 
 [[nodiscard]] Bytes encode_register(const std::string& name) {
   ByteWriter w;
+  w.reserve(3 + name.size());  // kind byte + u16 length prefix + name
   w.u8(static_cast<std::uint8_t>(PbsMsg::kRegister));
   w.str(name);
   return std::move(w).take();

@@ -19,6 +19,23 @@
 
 namespace wow::p2p {
 
+/// Per-endpoint bootstrap backoff (the flap-quarantine shape): after
+/// each failed probe of an endpoint, that endpoint is skipped for
+/// base * 2^(failures-1), capped at max, plus a uniform jitter of one
+/// base so a flash crowd's retries never re-synchronize on a dead
+/// endpoint.  The rotation moves on to the next endpoint meanwhile.
+inline constexpr SimDuration kBootstrapBackoffBase = 15 * kSecond;
+inline constexpr SimDuration kBootstrapBackoffMax = 2 * kMinute;
+
+/// Peer-cache entries not refreshed within this TTL are evicted.
+inline constexpr SimDuration kPeerCacheTtl = 10 * kMinute;
+/// How often the peer cache is refreshed from live connections.
+inline constexpr SimDuration kPeerCacheRefreshInterval = 30 * kSecond;
+/// Unverified peer-cache entries accepted per gossip source: a single
+/// byzantine responder can plant at most this many phantoms in the
+/// cache, and verified (live-connection) entries always outrank them.
+inline constexpr std::size_t kGossipPerSourceCap = 2;
+
 /// Leaf/bootstrap overlord: the node's lifeline into the overlay,
 /// grown from a single well-known URI into a multi-endpoint discovery
 /// service (Wolinsky et al., the P2P bootstrap problem).

@@ -16,6 +16,10 @@
 
 namespace wow::p2p {
 
+/// Hop bound on a census probe: the TTL a launch carries, and (with
+/// defenses on) the cap on any inbound probe's TTL.
+inline constexpr std::uint16_t kCensusTtl = 512;
+
 /// Ring-census agent: the explicit partitioned-ring detection and merge
 /// protocol (self-stabilization à la the Chord/Brunet ring-unification
 /// literature).

@@ -20,6 +20,22 @@
 
 namespace wow::p2p {
 
+/// Hop budget of every routed packet a node originates (CTMs and data).
+inline constexpr std::uint8_t kRoutedTtl = 48;
+
+/// CTM request timeout-with-retry: adaptive clamp bounds, the seed used
+/// before any reply has been measured, and the retry budget.  Fixed
+/// mode expires at kCtmRtoMax with no retries (seed behavior).
+inline constexpr SimDuration kCtmRtoMin = 2 * kSecond;
+inline constexpr SimDuration kCtmRtoMax = 2 * kMinute;
+inline constexpr SimDuration kCtmRtoInitial = 10 * kSecond;
+inline constexpr int kCtmMaxRetries = 2;
+
+/// Recently-answered CTM (src, token) pairs remembered per node; a
+/// duplicate inside the window is answered minimally (no link_start, no
+/// gossip) so replayed joins cannot re-trigger link attempts.
+inline constexpr std::size_t kCtmReplayWindow = 64;
+
 /// Connect-To-Me service (§IV-B) plus the near/far acquisition policy
 /// that drives it.
 ///
@@ -104,7 +120,7 @@ class CtmOverlord {
     fast_stabilize_until_ = timers_.now() + kMinute;
   }
 
-  /// Current CTM request timeout (adaptive clamp, or ctm_rto_max fixed).
+  /// Current CTM request timeout (adaptive clamp, or kCtmRtoMax fixed).
   [[nodiscard]] SimDuration ctm_timeout() const;
   /// CTM requests awaiting a reply or retry; bounded by the sweep.
   [[nodiscard]] std::size_t pending_count() const {
@@ -186,7 +202,7 @@ class CtmOverlord {
   std::map<std::uint32_t, PendingCtm> pending_ctms_;
   std::uint32_t next_ctm_token_ = 1;
   /// Bounded ring of recently-answered (src, token) pairs — the CTM
-  /// replay window (DESIGN §16).  Sized by config_.ctm_replay_window;
+  /// replay window (DESIGN §16).  Sized by kCtmReplayWindow;
   /// only populated while defenses are enabled.
   std::vector<AnsweredCtm> replay_window_;
   std::size_t replay_cursor_ = 0;

@@ -20,8 +20,8 @@ namespace wow::p2p {
 /// otherwise.
 ///
 /// Interface-only header: implementations live with their backend
-/// (net::SimEdge over the simulated network, the transport loopback for
-/// simulator-free runs), so lower layers can include this freely.
+/// (net::SimEdge over the simulated network, transport::UdpEdgeFactory
+/// over real sockets), so lower layers can include this freely.
 class Edge {
  public:
   /// Delivery callback for frames arriving from this edge's remote.

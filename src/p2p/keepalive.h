@@ -20,6 +20,23 @@
 
 namespace wow::p2p {
 
+/// Unanswered keepalive pings after which a connection is dropped
+/// (§IV-B).
+inline constexpr int kPingRetries = 3;
+/// Floor for the adaptive keepalive probe RTO; its ceiling is
+/// ping_interval / 2 so adaptation only ever detects death faster than
+/// the fixed schedule (the oracle's grace bound stays valid).
+inline constexpr SimDuration kPingRtoMin = 250 * kMillisecond;
+
+/// Flap quarantine: a connection that lives < kFlapLifetime counts as a
+/// flap; kFlapThreshold flaps inside kFlapWindow quarantine the peer
+/// for kQuarantineBase * 2^episode, capped at kQuarantineMax.
+inline constexpr SimDuration kFlapLifetime = 30 * kSecond;
+inline constexpr SimDuration kFlapWindow = 5 * kMinute;
+inline constexpr int kFlapThreshold = 3;
+inline constexpr SimDuration kQuarantineBase = 15 * kSecond;
+inline constexpr SimDuration kQuarantineMax = 2 * kMinute;
+
 /// Keepalive + peer-health service (§IV-B, PR 4's adaptive layer).
 ///
 /// Owns the per-connection probe episodes (ping/pong with Karn-filtered
@@ -83,7 +100,7 @@ class KeepaliveManager {
   /// Begin (or escalate) a quarantine episode immediately, bypassing
   /// flap accounting — the misbehavior ledger's verdict (DESIGN §16).
   /// Same escalation schedule as flap quarantine: base * 2^level capped
-  /// at quarantine_max.
+  /// at kQuarantineMax.
   void punish(const Address& peer);
 
   /// Warm-start a fresh connection's RTT estimator from the peer's

@@ -12,18 +12,7 @@ namespace wow::p2p {
 /// why UFL-UFL shortcut setup takes ~200 s in Figure 4.
 struct LinkConfig {
   SimDuration initial_rto = 2500 * kMillisecond;
-  /// Floor for the adaptive per-attempt RTO (Callbacks::rto_hint); a
-  /// measured 2 ms LAN RTT must not shrink the handshake timer into
-  /// spurious-retransmit territory.  The hint is clamped to
-  /// [min_rto, initial_rto] — adaptation only ever speeds linking up.
-  SimDuration min_rto = 250 * kMillisecond;
-  double backoff = 2.0;
   int max_retries = 5;  // retransmissions per URI after the first send
-  /// After a race abort (mutual link-error), wait this long (doubling,
-  /// with jitter) before checking/retrying.
-  SimDuration restart_backoff = 2 * kSecond;
-  SimDuration restart_backoff_max = 60 * kSecond;
-  int max_restarts = 8;
   /// Paper's implementation tries the NAT-assigned public URI before the
   /// private URI (§V-B).  Flipping this is the ordering ablation.
   bool public_uri_first = true;

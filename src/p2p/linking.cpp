@@ -6,6 +6,24 @@
 
 namespace wow::p2p {
 
+namespace {
+
+/// Floor for the adaptive per-attempt RTO (Callbacks::rto_hint); a
+/// measured 2 ms LAN RTT must not shrink the handshake timer into
+/// spurious-retransmit territory.  The hint is clamped to
+/// [kMinRto, initial_rto] — adaptation only ever speeds linking up.
+constexpr SimDuration kMinRto = 250 * kMillisecond;
+/// Per-retransmission RTO multiplier.
+constexpr SimDuration kRtoBackoff = 2;
+/// After a race abort (mutual link-error), wait this long (doubling,
+/// with jitter, capped) before checking/retrying; give up after
+/// kMaxRestarts aborts.
+constexpr SimDuration kRestartBackoff = 2 * kSecond;
+constexpr SimDuration kRestartBackoffMax = 60 * kSecond;
+constexpr int kMaxRestarts = 8;
+
+}  // namespace
+
 std::vector<transport::Uri> LinkingEngine::order_uris(
     std::vector<transport::Uri> uris) const {
   // Stable partition keeps relative order within each class.
@@ -89,7 +107,7 @@ void LinkingEngine::start(const Address& target, ConnectionType type,
     SimDuration hint = callbacks_.rto_hint(target);
     if (hint > 0) {
       attempt.initial_rto =
-          std::clamp(hint, config_.min_rto, config_.initial_rto);
+          std::clamp(hint, kMinRto, config_.initial_rto);
     }
   }
   attempt.rto = attempt.initial_rto;
@@ -141,8 +159,7 @@ void LinkingEngine::on_timeout(std::uint32_t token) {
   if (attempt == nullptr) return;
   if (attempt->retries_left > 0) {
     --attempt->retries_left;
-    attempt->rto = static_cast<SimDuration>(
-        static_cast<double>(attempt->rto) * config_.backoff);
+    attempt->rto *= kRtoBackoff;
     send_request(*attempt);
     return;
   }
@@ -176,7 +193,7 @@ void LinkingEngine::schedule_restart(Attempt& attempt) {
   attempt.in_restart_wait = true;
   timers_.cancel(attempt.timer);
   ++attempt.restarts;
-  if (attempt.restarts > config_.max_restarts) {
+  if (attempt.restarts > kMaxRestarts) {
     ++stats_.failures;
     Address target = attempt.target;
     ConnectionType type = attempt.type;
@@ -193,9 +210,9 @@ void LinkingEngine::schedule_restart(Attempt& attempt) {
     if (callbacks_.on_failed) callbacks_.on_failed(target, type);
     return;
   }
-  SimDuration wait = config_.restart_backoff;
+  SimDuration wait = kRestartBackoff;
   for (int i = 1; i < attempt.restarts; ++i) {
-    wait = std::min(wait * 2, config_.restart_backoff_max);
+    wait = std::min(wait * 2, kRestartBackoffMax);
   }
   wait += rng_.jitter(wait);  // jitter breaks repeated symmetry
   if (tracer_.enabled()) {

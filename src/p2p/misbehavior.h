@@ -47,8 +47,8 @@ inline constexpr int kMisbehaviorReplay = 4;        // replayed control
                                                     // frame, endpoint-
                                                     // attributable
 
-/// Knobs for the ledger + rate limiter, mirrored from NodeConfig so the
-/// ledger stays testable in isolation.
+/// Knobs for the ledger + rate limiter, kept as a struct so the ledger
+/// stays testable in isolation; Node runs one fixed setting.
 struct MisbehaviorParams {
   /// Score at which the owner is told to quarantine/drop the peer.
   int threshold = 8;

@@ -21,6 +21,21 @@ constexpr std::int32_t kDropTtl = 3;
 constexpr std::int32_t kDropWrongConsumer = 4;
 constexpr std::int32_t kDropNoConnection = 5;
 
+// The node's misbehavior ledger (DESIGN §16): a score of 8 (weights in
+// misbehavior.h) quarantines the source, and a score decays after a
+// quiet minute.  The control-frame token bucket (burst 256, refill
+// 128/s per source endpoint) is sized for a RING LINK, not a single
+// peer's chatter: one endpoint bucket absorbs every multi-hop control
+// frame the neighbor forwards — census walks, fast-cadence stabilization
+// announces, CTM relays — which peaks around 10-20/s during a ring
+// merge.  A shed anywhere along a census walk kills the whole walk, so
+// the sustained rate carries ~10x headroom over that peak while still
+// sitting orders of magnitude under the floods it sheds.
+constexpr MisbehaviorParams kNodeDefenses{/*threshold=*/8,
+                                          /*window=*/kMinute,
+                                          /*rate_burst=*/256,
+                                          /*rate_per_sec=*/128};
+
 // Control-vs-data shed priority (DESIGN §16): everything except a
 // routed DATA payload is a control frame the token bucket may shed.
 // The routed type byte sits at a fixed header offset, so the peek costs
@@ -38,13 +53,10 @@ Node::Node(NodeDeps deps, NodeConfig config)
       metrics_(*deps.metrics), tracer_(*deps.tracer),
       edges_(std::move(deps.edges)), config_(std::move(config)),
       table_(config_.address),
-      peer_cache_(config_.peer_cache_capacity, config_.peer_cache_ttl,
-                  config_.gossip_per_source_cap),
+      peer_cache_(config_.peer_cache_capacity, kPeerCacheTtl,
+                  kGossipPerSourceCap),
       flight_(config_.flight_capacity),
-      ledger_(MisbehaviorParams{config_.misbehavior_threshold,
-                                config_.misbehavior_window,
-                                config_.rate_limit_burst,
-                                config_.rate_limit_per_sec}) {
+      ledger_(kNodeDefenses) {
   if (config_.address == Address{}) {
     config_.address = rng_.ring_id();
     table_ = ConnectionTable(config_.address);
@@ -462,7 +474,7 @@ void Node::send_data(const Address& dst, Bytes payload) {
   RoutedPacket packet;
   packet.src = config_.address;
   packet.dst = dst;
-  packet.ttl = config_.ttl;
+  packet.ttl = kRoutedTtl;
   packet.mode = DeliveryMode::kExact;
   packet.type = RoutedType::kData;
   // The id is drawn unconditionally (one counter increment) so that
@@ -571,8 +583,8 @@ void Node::on_link_failed(const Address& peer, ConnectionType type) {
   if (existing != nullptr && existing->is_relay()) {
     // An upgrade probe exhausted every URI: the pair is still mutually
     // unreachable.  Keep the tunnel, back off the next probe.
-    keepalive_->set_next_direct_probe(
-        peer, timers_.now() + config_.relay_probe_interval);
+    keepalive_->set_next_direct_probe(peer,
+                                      timers_.now() + kRelayProbeInterval);
     flight_.record(timers_.now(), FlightKind::kRelayProbeFail, peer.brief());
     if (tracer_.enabled(TraceClass::kLifecycle)) {
       tracer_.event(timers_.now(), "node", trace_node_,

@@ -9,7 +9,7 @@ namespace wow::p2p {
 /// Why a connection was removed from the table.  `connections_lost` is
 /// broken down by this cause in NodeStats and the metrics registry.
 enum class DisconnectCause : std::uint8_t {
-  kKeepaliveTimeout = 0,  // ping_retries unanswered probes
+  kKeepaliveTimeout = 0,  // kPingRetries unanswered probes
   kCloseFrame,            // peer sent kClose (graceful stop, or §V-E
                           // stale-ping rejection)
   kLinkError,             // re-link to a held peer exhausted every URI
@@ -74,9 +74,6 @@ struct NodeStats {
   /// (the merge link established).
   std::uint64_t merges_initiated = 0;
   std::uint64_t merges_completed = 0;
-  /// Census probes that hit the bounded-arc hop limit (arc sampling
-  /// mode, census_arc_hops > 0) — the arc was fully walked.
-  std::uint64_t census_arc_bounded = 0;
   /// Self-defense (DESIGN §16).  Replayed CTM requests caught by the
   /// replay window.
   std::uint64_t replays_detected = 0;

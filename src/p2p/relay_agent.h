@@ -20,6 +20,14 @@
 
 namespace wow::p2p {
 
+/// How often a tunneled pair probes for a direct link.
+inline constexpr SimDuration kRelayProbeInterval = 30 * kSecond;
+/// Per-agent wait for the tunnel handshake before trying the next
+/// candidate agent.
+inline constexpr SimDuration kRelayRequestTimeout = 5 * kSecond;
+/// Candidate agents tried per relay attempt.
+inline constexpr std::size_t kRelayMaxCandidates = 3;
+
 /// Relay-tunnel service (§V-B fallback): when two NATed peers cannot
 /// link directly, converse through a mutual neighbor.
 ///

@@ -34,8 +34,8 @@ class Clock {
 ///
 /// Protocol components (Node, LinkingEngine, the protocol services)
 /// schedule against this interface instead of sim::Simulator directly,
-/// so the same code runs under the discrete-event simulator, the
-/// in-process loopback harness, or — eventually — a real event loop.
+/// so the same code runs under the discrete-event simulator or the
+/// real-UDP event loop (transport::RealtimeEventLoop).
 /// sim::Simulator is the canonical implementation.
 class TimerService : public Clock {
  public:

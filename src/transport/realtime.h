@@ -26,10 +26,9 @@ namespace wow::transport {
 /// fire in schedule order (FIFO), exactly like the simulator — which is
 /// what lets one contract test cover every backend.
 ///
-/// The pending-event bookkeeping deliberately mirrors LoopbackNet: an
-/// ordered (deadline, seq) -> EventFn map plus a live-handle index, so
-/// cancel() is a lookup and handle ids are never reused for a live
-/// event.
+/// The pending-event bookkeeping is an ordered (deadline, seq) ->
+/// EventFn map plus a live-handle index, so cancel() is a lookup and
+/// handle ids are never reused for a live event.
 class RealtimeEventLoop final : public sim::TimerService {
  public:
   /// Readiness callback for a watched fd; `events` is the raw epoll

@@ -5,20 +5,43 @@
 namespace wow::vtcp {
 
 namespace {
+
 constexpr std::uint64_t kNoFin = ~std::uint64_t{0};
+
+// Fixed TCP parameters: every stack runs this one setting.
+constexpr std::size_t kMss = 1400;
+constexpr std::size_t kRecvWindow = 256 * 1024;
+/// Send-buffer watermarks driving the writable() callback, so bulk
+/// senders (SCP, ttcp) stream data without buffering whole files.
+constexpr std::size_t kSendHighWater = 256 * 1024;
+constexpr std::size_t kSendLowWater = 64 * 1024;
+constexpr SimDuration kInitialRto = 1 * kSecond;
+constexpr SimDuration kMinRto = 200 * kMillisecond;
+/// Delayed-ACK: acknowledge every second in-order segment, or after
+/// this delay, whichever first.  Out-of-order segments ACK instantly
+/// (dup-ACKs drive fast retransmit).
+constexpr SimDuration kDelayedAck = 100 * kMillisecond;
+/// RTO backoff cap.  Bounded so a connection stalled by a VM migration
+/// outage probes often enough to resume promptly (§V-C).
+constexpr SimDuration kMaxRto = 30 * kSecond;
+/// Consecutive retransmissions of the same segment before giving up.
+/// Generous: TCP must ride out the multi-minute no-routability window
+/// during wide-area VM migration.
+constexpr int kMaxRetransmits = 40;
+constexpr std::size_t kInitialCwndSegments = 4;
+
 }  // namespace
 
 // ---------------------------------------------------------------- TcpSocket
 
 TcpSocket::TcpSocket(TcpStack& stack, net::Ipv4Addr remote_ip,
-                     std::uint16_t remote_port, std::uint16_t local_port,
-                     const TcpConfig& config)
-    : stack_(stack), config_(config), remote_ip_(remote_ip),
-      remote_port_(remote_port), local_port_(local_port) {
-  cwnd_ = static_cast<double>(config_.initial_cwnd_segments * config_.mss);
+                     std::uint16_t remote_port, std::uint16_t local_port)
+    : stack_(stack), remote_ip_(remote_ip), remote_port_(remote_port),
+      local_port_(local_port) {
+  cwnd_ = static_cast<double>(kInitialCwndSegments * kMss);
   ssthresh_ = 1e12;
-  rto_ = config_.initial_rto;
-  peer_window_ = static_cast<std::uint32_t>(config_.recv_window);
+  rto_ = kInitialRto;
+  peer_window_ = static_cast<std::uint32_t>(kRecvWindow);
   fin_seq_ = kNoFin;
 }
 
@@ -48,9 +71,7 @@ void TcpSocket::start_accept(const Segment&) {
 
 std::size_t TcpSocket::send_buffer_room() const {
   std::size_t buffered = send_buf_.size() - send_buf_base_offset();
-  return buffered >= config_.send_high_water
-             ? 0
-             : config_.send_high_water - buffered;
+  return buffered >= kSendHighWater ? 0 : kSendHighWater - buffered;
 }
 
 void TcpSocket::send(Bytes data) {
@@ -76,7 +97,7 @@ void TcpSocket::reset() {
 std::uint64_t TcpSocket::snd_limit() const {
   std::uint64_t window = std::min<std::uint64_t>(
       static_cast<std::uint64_t>(cwnd_), peer_window_);
-  return snd_una_ + std::max<std::uint64_t>(window, config_.mss);
+  return snd_una_ + std::max<std::uint64_t>(window, kMss);
 }
 
 void TcpSocket::pump() {
@@ -89,7 +110,7 @@ void TcpSocket::pump() {
 
   while (snd_nxt_ < seq_end && snd_nxt_ < snd_limit()) {
     std::size_t len = static_cast<std::size_t>(
-        std::min<std::uint64_t>({config_.mss, seq_end - snd_nxt_,
+        std::min<std::uint64_t>({kMss, seq_end - snd_nxt_,
                                  snd_limit() - snd_nxt_}));
     if (len == 0) break;
     transmit(snd_nxt_, len, /*rexmit=*/false);
@@ -118,7 +139,7 @@ void TcpSocket::transmit(std::uint64_t seq, std::size_t len, bool rexmit) {
   seg.seq = static_cast<std::uint32_t>(seq);
   seg.ack = static_cast<std::uint32_t>(rcv_nxt_);
   seg.flags = kAck;
-  seg.window = static_cast<std::uint32_t>(config_.recv_window);
+  seg.window = static_cast<std::uint32_t>(kRecvWindow);
 
   std::size_t idx = send_buf_base_offset() +
                     static_cast<std::size_t>((seq - 1) - send_buf_base_);
@@ -144,7 +165,7 @@ void TcpSocket::send_control(std::uint8_t flags, std::uint64_t seq) {
   seg.seq = static_cast<std::uint32_t>(seq);
   seg.ack = static_cast<std::uint32_t>(rcv_nxt_);
   seg.flags = flags;
-  seg.window = static_cast<std::uint32_t>(config_.recv_window);
+  seg.window = static_cast<std::uint32_t>(kRecvWindow);
   ++stats_.segments_sent;
   stack_.send_segment(remote_ip_, std::move(seg));
 }
@@ -171,7 +192,7 @@ void TcpSocket::on_rto() {
   if (snd_una_ >= snd_nxt_) return;  // everything acked meanwhile
   ++stats_.timeouts;
   ++rexmit_count_;
-  if (rexmit_count_ > config_.max_retransmits) {
+  if (rexmit_count_ > kMaxRetransmits) {
     finish(true);
     return;
   }
@@ -180,10 +201,10 @@ void TcpSocket::on_rto() {
   rtt_probe_.reset();
 
   // Multiplicative backoff, capped so post-migration recovery is quick.
-  rto_ = std::min(rto_ * 2, config_.max_rto);
+  rto_ = std::min(rto_ * 2, kMaxRto);
   double inflight = static_cast<double>(snd_nxt_ - snd_una_);
-  ssthresh_ = std::max(inflight / 2.0, 2.0 * static_cast<double>(config_.mss));
-  cwnd_ = static_cast<double>(config_.mss);
+  ssthresh_ = std::max(inflight / 2.0, 2.0 * static_cast<double>(kMss));
+  cwnd_ = static_cast<double>(kMss);
   dup_acks_ = 0;
 
   if (snd_una_ == 0) {
@@ -217,7 +238,7 @@ void TcpSocket::update_rtt(SimDuration sample) {
     rttvar_ = (3 * rttvar_ + err) / 4;
     srtt_ = (7 * srtt_ + sample) / 8;
   }
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, config_.min_rto, config_.max_rto);
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, kMaxRto);
 }
 
 void TcpSocket::on_ack(std::uint64_t ack, std::uint32_t wnd) {
@@ -236,11 +257,11 @@ void TcpSocket::on_ack(std::uint64_t ack, std::uint32_t wnd) {
         ++stats_.fast_retransmits;
         double inflight = static_cast<double>(snd_nxt_ - snd_una_);
         ssthresh_ = std::max(inflight / 2.0,
-                             2.0 * static_cast<double>(config_.mss));
+                             2.0 * static_cast<double>(kMss));
         cwnd_ = ssthresh_;
         recovery_point_ = snd_nxt_;
         std::uint64_t hi = std::min<std::uint64_t>(
-            snd_una_ + config_.mss, std::min(snd_nxt_, fin_seq_));
+            snd_una_ + kMss, std::min(snd_nxt_, fin_seq_));
         if (snd_una_ == 0) {
           send_control(state_ == State::kSynReceived ? (kSyn | kAck) : kSyn,
                        0);
@@ -264,7 +285,7 @@ void TcpSocket::on_ack(std::uint64_t ack, std::uint32_t wnd) {
   // retransmit the next block without waiting for more dup-ACKs.
   if (recovery_point_ != 0 && snd_una_ < recovery_point_ &&
       snd_una_ < snd_nxt_ && snd_una_ >= 1) {
-    std::uint64_t hi = std::min<std::uint64_t>(snd_una_ + config_.mss,
+    std::uint64_t hi = std::min<std::uint64_t>(snd_una_ + kMss,
                                                std::min(snd_nxt_, fin_seq_));
     if (fin_sent_ && snd_una_ == fin_seq_) {
       send_control(kFin | kAck, fin_seq_);
@@ -282,7 +303,7 @@ void TcpSocket::on_ack(std::uint64_t ack, std::uint32_t wnd) {
   }
 
   // Congestion control: slow start below ssthresh, then AIMD.
-  double mss = static_cast<double>(config_.mss);
+  double mss = static_cast<double>(kMss);
   if (cwnd_ < ssthresh_) {
     cwnd_ += static_cast<double>(newly);
   } else {
@@ -299,15 +320,15 @@ void TcpSocket::on_ack(std::uint64_t ack, std::uint32_t wnd) {
     stats_.bytes_acked += advance;
     send_buf_consumed_ += static_cast<std::size_t>(advance);
     send_buf_base_ = acked_stream;
-    if (send_buf_consumed_ > config_.send_high_water) {
+    if (send_buf_consumed_ > kSendHighWater) {
       send_buf_.erase(send_buf_.begin(),
                       send_buf_.begin() +
                           static_cast<std::ptrdiff_t>(send_buf_consumed_));
       send_buf_consumed_ = 0;
     }
     std::size_t buffered_now = send_buf_.size() - send_buf_base_offset();
-    if (writable_ && buffered_before > config_.send_low_water &&
-        buffered_now <= config_.send_low_water && !fin_pending_) {
+    if (writable_ && buffered_before > kSendLowWater &&
+        buffered_now <= kSendLowWater && !fin_pending_) {
       writable_();
     }
   }
@@ -389,12 +410,12 @@ void TcpSocket::on_segment(const Segment& seg) {
       } else if (!delack_timer_.valid()) {
         auto weak = weak_from_this();
         delack_timer_ = stack_.timers().schedule(
-            config_.delayed_ack, [weak] {
+            kDelayedAck, [weak] {
               if (auto self = weak.lock()) self->send_pending_ack();
             });
       }
     } else {
-      if (seq > rcv_nxt_ && seq < rcv_nxt_ + config_.recv_window) {
+      if (seq > rcv_nxt_ && seq < rcv_nxt_ + kRecvWindow) {
         reorder_.emplace(seq, seg.payload);
       }
       // Out-of-order (or stale duplicate): immediate ACK so the sender
@@ -464,9 +485,8 @@ void TcpSocket::finish(bool error) {
 
 // ---------------------------------------------------------------- TcpStack
 
-TcpStack::TcpStack(sim::TimerService& timers, ipop::IpopNode& node,
-                   TcpConfig config)
-    : timers_(timers), node_(node), config_(config) {
+TcpStack::TcpStack(sim::TimerService& timers, ipop::IpopNode& node)
+    : timers_(timers), node_(node) {
   node_.set_protocol_handler(ipop::IpProto::kTcp,
                              [this](const ipop::IpPacket& packet) {
                                on_ip_packet(packet);
@@ -481,7 +501,7 @@ std::shared_ptr<TcpSocket> TcpStack::connect(net::Ipv4Addr dst,
                                              std::uint16_t dst_port) {
   std::uint16_t port = ephemeral_port();
   auto socket = std::shared_ptr<TcpSocket>(
-      new TcpSocket(*this, dst, dst_port, port, config_));
+      new TcpSocket(*this, dst, dst_port, port));
   sockets_[ConnKey{dst.value(), dst_port, port}] = socket;
   socket->start_connect();
   return socket;
@@ -526,8 +546,8 @@ void TcpStack::on_ip_packet(const ipop::IpPacket& packet) {
   if (seg->has(kSyn) && !seg->has(kAck)) {
     auto listener = listeners_.find(seg->dst_port);
     if (listener != listeners_.end()) {
-      auto socket = std::shared_ptr<TcpSocket>(new TcpSocket(
-          *this, packet.src, seg->src_port, seg->dst_port, config_));
+      auto socket = std::shared_ptr<TcpSocket>(
+          new TcpSocket(*this, packet.src, seg->src_port, seg->dst_port));
       sockets_[key] = socket;
       socket->start_accept(*seg);
       listener->second(socket);

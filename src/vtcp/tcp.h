@@ -13,30 +13,6 @@
 
 namespace wow::vtcp {
 
-/// Tuning knobs of the virtual TCP implementation.
-struct TcpConfig {
-  std::size_t mss = 1400;
-  std::size_t recv_window = 256 * 1024;
-  /// Send-buffer watermarks driving the writable() callback, so bulk
-  /// senders (SCP, ttcp) stream data without buffering whole files.
-  std::size_t send_high_water = 256 * 1024;
-  std::size_t send_low_water = 64 * 1024;
-  SimDuration initial_rto = 1 * kSecond;
-  SimDuration min_rto = 200 * kMillisecond;
-  /// Delayed-ACK: acknowledge every second in-order segment, or after
-  /// this delay, whichever first.  Out-of-order segments ACK instantly
-  /// (dup-ACKs drive fast retransmit).
-  SimDuration delayed_ack = 100 * kMillisecond;
-  /// RTO backoff cap.  Bounded so a connection stalled by a VM
-  /// migration outage probes often enough to resume promptly (§V-C).
-  SimDuration max_rto = 30 * kSecond;
-  /// Consecutive retransmissions of the same segment before giving up.
-  /// Generous: TCP must ride out the multi-minute no-routability window
-  /// during wide-area VM migration.
-  int max_retransmits = 40;
-  std::uint32_t initial_cwnd_segments = 4;
-};
-
 class TcpStack;
 
 /// One endpoint of a virtual TCP connection.
@@ -116,8 +92,7 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   friend class TcpStack;
 
   TcpSocket(TcpStack& stack, net::Ipv4Addr remote_ip,
-            std::uint16_t remote_port, std::uint16_t local_port,
-            const TcpConfig& config);
+            std::uint16_t remote_port, std::uint16_t local_port);
 
   void start_connect();
   void start_accept(const Segment& syn);
@@ -143,7 +118,6 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   }
 
   TcpStack& stack_;
-  TcpConfig config_;
   State state_ = State::kClosed;
   net::Ipv4Addr remote_ip_;
   std::uint16_t remote_port_ = 0;
@@ -207,12 +181,10 @@ class TcpStack {
  public:
   using AcceptHandler = std::function<void(std::shared_ptr<TcpSocket>)>;
 
-  /// `timers` is the backend timer seam; every existing call site
-  /// passes the Simulator (which IS a TimerService), but the stack — like
-  /// everything above the p2p layer — runs unchanged over the loopback
-  /// harness or the wowd daemon's realtime loop.
-  TcpStack(sim::TimerService& timers, ipop::IpopNode& node,
-           TcpConfig config = {});
+  /// `timers` is the backend timer seam: the Simulator (which IS a
+  /// TimerService) under simulation, or the real-UDP realtime loop — the
+  /// stack, like everything above the p2p layer, runs unchanged on both.
+  TcpStack(sim::TimerService& timers, ipop::IpopNode& node);
 
   TcpStack(const TcpStack&) = delete;
   TcpStack& operator=(const TcpStack&) = delete;
@@ -228,7 +200,6 @@ class TcpStack {
 
   [[nodiscard]] sim::TimerService& timers() { return timers_; }
   [[nodiscard]] ipop::IpopNode& node() { return node_; }
-  [[nodiscard]] const TcpConfig& config() const { return config_; }
   [[nodiscard]] net::Ipv4Addr vip() const { return node_.vip(); }
   [[nodiscard]] std::size_t open_sockets() const { return sockets_.size(); }
 
@@ -249,7 +220,6 @@ class TcpStack {
 
   sim::TimerService& timers_;
   ipop::IpopNode& node_;
-  TcpConfig config_;
   std::map<ConnKey, std::shared_ptr<TcpSocket>> sockets_;
   std::map<std::uint16_t, AcceptHandler> listeners_;
   std::uint16_t next_ephemeral_ = 40000;

@@ -1,7 +1,5 @@
-// The layered protocol-service stack (PR 5): the dispatch registries,
-// the protocol services exercised in isolation behind their hooks, and
-// the pluggable Edge transport — a node pair running over the loopback
-// backend with no simulator anywhere in sight.
+// The layered protocol-service stack: the dispatch registries
+// and the protocol services exercised in isolation behind their hooks.
 
 #include <gtest/gtest.h>
 
@@ -11,15 +9,15 @@
 #include <vector>
 
 #include "common/log.h"
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/trace.h"
+#include "p2p/census_agent.h"
 #include "p2p/ctm_overlord.h"
 #include "p2p/dispatch.h"
 #include "p2p/keepalive.h"
 #include "p2p/node.h"
+#include "sim/simulator.h"
 #include "test_util.h"
-#include "transport/loopback.h"
 
 namespace wow {
 namespace {
@@ -93,8 +91,8 @@ TEST(Dispatch, UnknownFrameKindIsCountedAndDropped) {
 
 // --- KeepaliveManager in isolation --------------------------------------
 
-// The keepalive service against a bare connection table and the
-// loopback clock: no Node, no network.  The hooks record what the
+// The keepalive service against a bare connection table and a bare
+// simulator clock: no Node, no network.  The hooks record what the
 // service asked its owner to do.
 struct KeepaliveHarness {
   KeepaliveHarness() {
@@ -123,7 +121,7 @@ struct KeepaliveHarness {
     table.add(std::move(c));
   }
 
-  transport::LoopbackNet net;
+  sim::Simulator net;
   Tracer tracer;
   Logger logger;
   p2p::NodeConfig config;
@@ -177,7 +175,7 @@ TEST(KeepaliveIsolation, UnansweredProbeBudgetDropsConnection) {
   EXPECT_EQ(h.dropped[0].first, p2p::Address{200});
   EXPECT_EQ(h.dropped[0].second, p2p::DisconnectCause::kKeepaliveTimeout);
   EXPECT_EQ(h.stats.pings_sent,
-            static_cast<std::uint64_t>(h.config.ping_retries));
+            static_cast<std::uint64_t>(p2p::kPingRetries));
   // The episode died with the connection: no leak.
   EXPECT_EQ(h.km->ping_state_count(), 0u);
   EXPECT_TRUE(h.table.empty());
@@ -188,17 +186,17 @@ TEST(KeepaliveIsolation, RepeatedFlapsQuarantineThenLapse) {
   p2p::Address peer{300};
   EXPECT_FALSE(h.km->is_quarantined(peer));
 
-  // flap_threshold short-lived losses inside one window begin a
+  // kFlapThreshold short-lived losses inside one window begin a
   // quarantine episode at the base duration.
-  for (int i = 0; i < h.config.flap_threshold; ++i) {
+  for (int i = 0; i < p2p::kFlapThreshold; ++i) {
     h.km->note_flap(peer, kSecond);
   }
   EXPECT_TRUE(h.km->is_quarantined(peer));
-  EXPECT_EQ(h.km->quarantine_until(peer), h.net.now() + h.config.quarantine_base);
+  EXPECT_EQ(h.km->quarantine_until(peer), h.net.now() + p2p::kQuarantineBase);
   EXPECT_EQ(h.stats.quarantines, 1u);
 
   // The episode lapses once the clock passes quarantine_until.
-  h.net.run_for(h.config.quarantine_base + kSecond);
+  h.net.run_for(p2p::kQuarantineBase + kSecond);
   EXPECT_FALSE(h.km->is_quarantined(peer));
 }
 
@@ -240,7 +238,7 @@ struct CtmHarness {
     table.add(std::move(c));
   }
 
-  transport::LoopbackNet net;
+  sim::Simulator net;
   Rng rng{7};
   Tracer tracer;
   p2p::NodeConfig config;
@@ -280,73 +278,87 @@ TEST(CtmIsolation, SweepRetriesThenExpiresUnansweredRequests) {
   h.ctm->initiate(p2p::Address{500}, p2p::ConnectionType::kShortcut);
   ASSERT_EQ(h.ctm->pending_count(), 1u);
 
-  // Each step advances past any possible timeout (ctm_rto_max is the
+  // Each step advances past any possible timeout (kCtmRtoMax is the
   // ceiling): the retry budget drains, then the request expires.
-  for (int i = 0; i < h.config.ctm_max_retries + 1; ++i) {
-    h.net.run_for(h.config.ctm_rto_max + kSecond);
+  for (int i = 0; i < p2p::kCtmMaxRetries + 1; ++i) {
+    h.net.run_for(p2p::kCtmRtoMax + kSecond);
     h.ctm->sweep();
   }
   EXPECT_EQ(h.stats.ctm_retries,
-            static_cast<std::uint64_t>(h.config.ctm_max_retries));
+            static_cast<std::uint64_t>(p2p::kCtmMaxRetries));
   EXPECT_EQ(h.stats.ctm_timeouts, 1u);
   EXPECT_EQ(h.ctm->pending_count(), 0u);
   // The original send plus every retry went through the route hook.
   EXPECT_EQ(h.routed.size(),
-            static_cast<std::size_t>(1 + h.config.ctm_max_retries));
+            static_cast<std::size_t>(1 + p2p::kCtmMaxRetries));
 }
 
-// --- the transport seam -------------------------------------------------
+// --- CensusAgent in isolation -------------------------------------------
 
-// The acceptance test for the pluggable Edge backend: two nodes link
-// and exchange data over transport::LoopbackNet — the simulator, the
-// fault model and net::Network are nowhere in this test's harness.
-TEST(LoopbackBackend, NodePairLinksAndDeliversData) {
-  transport::LoopbackNet net(5 * kMillisecond);
-  Rng rng(99);
-  Logger logger;
-  MetricsRegistry metrics;
+// The census service against a bare table holding one successor: the
+// send hook captures every frame it forwards.
+struct CensusHarness {
+  explicit CensusHarness(bool defenses) {
+    config.defenses_enabled = defenses;
+    p2p::Connection succ;
+    succ.addr = p2p::Address{200};
+    succ.type = p2p::ConnectionType::kStructuredNear;
+    succ.remote = net::Endpoint{net::Ipv4Addr(10, 0, 0, 2), 17000};
+    table.add(std::move(succ));
+    census = std::make_unique<p2p::CensusAgent>(
+        net, tracer, config, table, stats, trace_node,
+        p2p::CensusAgent::Hooks{
+            [] { return true; },  // running
+            [] { return true; },  // routable
+            [] { return std::vector<transport::Uri>{}; },
+            [this](const net::Endpoint& to, const Bytes& frame) {
+              sent.emplace_back(to, frame);
+            },
+            [](const p2p::Address&) { return false; },  // link_attempting
+            [](const p2p::Address&, p2p::ConnectionType,
+               const std::vector<transport::Uri>&) {},  // link_start
+            {},                                         // record_flight
+        });
+  }
+
+  /// A forged census from an origin outside our successor arc (so the
+  /// merge rule stays quiet), with an inflated TTL, one hop short of
+  /// our own census bound.
+  static p2p::CensusFrame forged() {
+    p2p::CensusFrame f;
+    f.origin = p2p::Address{50};
+    f.hops = p2p::kCensusTtl - 1;
+    f.ttl = 0xffff;
+    return f;
+  }
+
+  sim::Simulator net;
   Tracer tracer;
+  p2p::NodeConfig config;
+  p2p::ConnectionTable table{p2p::Address{100}};
+  p2p::NodeStats stats;
+  std::string trace_node = "n";
+  std::vector<std::pair<net::Endpoint, Bytes>> sent;
+  std::unique_ptr<p2p::CensusAgent> census;
+};
 
-  auto deps = [&](net::Ipv4Addr ip) {
-    p2p::NodeDeps d;
-    d.timers = &net;
-    d.rng = &rng;
-    d.logger = &logger;
-    d.metrics = &metrics;
-    d.tracer = &tracer;
-    d.edges = net.endpoint(ip);
-    return d;
-  };
+TEST(CensusIsolation, DefensesCapForgedTtlAtOwnCensusBound) {
+  CensusHarness h(/*defenses=*/true);
+  h.census->handle(CensusHarness::forged());
+  EXPECT_TRUE(h.sent.empty());
+  EXPECT_EQ(h.stats.merges_initiated, 0u);
+}
 
-  net::Ipv4Addr ip_a(10, 0, 0, 1);
-  net::Ipv4Addr ip_b(10, 0, 0, 2);
-  p2p::NodeConfig ca;
-  ca.port = 17000;
-  p2p::NodeConfig cb;
-  cb.port = 17000;
-  cb.bootstrap = {transport::Uri{transport::TransportKind::kUdp,
-                                 net::Endpoint{ip_a, 17000}}};
-
-  p2p::Node a(deps(ip_a), ca);
-  p2p::Node b(deps(ip_b), cb);
-  a.start();
-  b.start();
-  net.run_for(kMinute);
-
-  EXPECT_TRUE(a.has_direct(b.address()));
-  EXPECT_TRUE(b.has_direct(a.address()));
-
-  std::vector<Bytes> got;
-  a.set_data_handler([&](const p2p::Address&, BytesView payload) {
-    got.emplace_back(payload.begin(), payload.end());
-  });
-  b.send_data(a.address(), Bytes{1, 2, 3});
-  net.run_for(kSecond);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], (Bytes{1, 2, 3}));
-
-  a.stop();
-  b.stop();
+TEST(CensusIsolation, WithoutDefensesForgedTtlIsForwarded) {
+  CensusHarness h(/*defenses=*/false);
+  h.census->handle(CensusHarness::forged());
+  ASSERT_EQ(h.sent.size(), 1u);
+  EXPECT_EQ(h.sent[0].first, h.table.right_neighbor()->remote);
+  auto next = p2p::CensusFrame::parse(h.sent[0].second);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->origin, p2p::Address{50});
+  EXPECT_EQ(next->hops, p2p::kCensusTtl);
+  EXPECT_EQ(next->ttl, 0xffff);
 }
 
 }  // namespace

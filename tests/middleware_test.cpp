@@ -94,13 +94,19 @@ TEST_F(ChannelTest, FramesSurviveSegmentation) {
 }
 
 TEST_F(ChannelTest, BidirectionalTraffic) {
+  // The test owns the server channel; its handler holds only a weak_ptr,
+  // so channel and handler never keep each other alive.
+  std::shared_ptr<MessageChannel> server;
   stack1->listen(80, [&](std::shared_ptr<vtcp::TcpSocket> s) {
-    auto channel = MessageChannel::wrap(std::move(s));
-    channel->set_message_handler([channel](const Bytes& m) {
-      Bytes echo = m;
-      echo.push_back(0xff);
-      channel->send(echo);
-    });
+    server = MessageChannel::wrap(std::move(s));
+    server->set_message_handler(
+        [weak = std::weak_ptr<MessageChannel>(server)](const Bytes& m) {
+          auto channel = weak.lock();
+          if (!channel) return;
+          Bytes echo = m;
+          echo.push_back(0xff);
+          channel->send(echo);
+        });
   });
   auto client = MessageChannel::wrap(stack0->connect(net.vip(1), 80));
   Bytes reply;

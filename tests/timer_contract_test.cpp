@@ -1,8 +1,7 @@
 // The TimerService/Clock contract, run against every backend: the
-// discrete-event Simulator, the in-process LoopbackNet, and the
-// real-clock RealtimeEventLoop.  Any future backend joins by adding a
-// driver; the protocol stack is only portable because all three pass
-// the same suite (DESIGN §17).
+// discrete-event Simulator and the real-clock RealtimeEventLoop.  Any
+// future backend joins by adding a Backend adapter; the protocol stack
+// is only portable because both pass the same suite (DESIGN §17).
 //
 // The realtime backend really sleeps, so delays here are a few
 // milliseconds — long enough to order reliably, short enough that the
@@ -16,7 +15,6 @@
 
 #include "sim/simulator.h"
 #include "sim/timer_service.h"
-#include "transport/loopback.h"
 #include "transport/realtime.h"
 
 namespace wow {
@@ -35,12 +33,6 @@ struct SimulatorBackend final : Backend {
   sim::Simulator sim;
   sim::TimerService& timers() override { return sim; }
   void drive(SimDuration d) override { sim.run_until(sim.now() + d); }
-};
-
-struct LoopbackBackend final : Backend {
-  transport::LoopbackNet net;
-  sim::TimerService& timers() override { return net; }
-  void drive(SimDuration d) override { net.run_until(net.now() + d); }
 };
 
 struct RealtimeBackend final : Backend {
@@ -192,9 +184,6 @@ TEST_P(TimerContractTest, ZeroDelayChainRunsToCompletion) {
 std::unique_ptr<Backend> make_simulator() {
   return std::make_unique<SimulatorBackend>();
 }
-std::unique_ptr<Backend> make_loopback() {
-  return std::make_unique<LoopbackBackend>();
-}
 std::unique_ptr<Backend> make_realtime() {
   return std::make_unique<RealtimeBackend>();
 }
@@ -202,13 +191,11 @@ std::unique_ptr<Backend> make_realtime() {
 std::string backend_name(
     const ::testing::TestParamInfo<BackendFactory>& info) {
   if (info.param == make_simulator) return "Simulator";
-  if (info.param == make_loopback) return "Loopback";
   return "Realtime";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TimerContractTest,
-                         ::testing::Values(&make_simulator, &make_loopback,
-                                           &make_realtime),
+                         ::testing::Values(&make_simulator, &make_realtime),
                          backend_name);
 
 }  // namespace

@@ -72,10 +72,13 @@ TEST_F(VtcpTest, ConnectToClosedPortIsRefused) {
 
 TEST_F(VtcpTest, SmallMessageRoundTrip) {
   Bytes received;
+  // The stack owns accepted sockets; a handler capturing its own
+  // socket by shared_ptr would keep the socket alive forever.
   stack1->listen(80, [&](std::shared_ptr<TcpSocket> s) {
-    s->set_data_handler([&received, s](const Bytes& data) {
+    s->set_data_handler([&received, weak = std::weak_ptr<TcpSocket>(s)](
+                            const Bytes& data) {
       received.insert(received.end(), data.begin(), data.end());
-      s->send(Bytes{'o', 'k'});
+      if (auto self = weak.lock()) self->send(Bytes{'o', 'k'});
     });
   });
 
@@ -244,15 +247,21 @@ TEST_F(VtcpTest, ManyConcurrentConnections) {
   int established = 0;
   int completed = 0;
   stack1->listen(80, [&](std::shared_ptr<TcpSocket> s) {
-    s->set_data_handler([s](const Bytes& data) { s->send(data); });
+    s->set_data_handler([weak = std::weak_ptr<TcpSocket>(s)](
+                            const Bytes& data) {
+      if (auto self = weak.lock()) self->send(data);
+    });
   });
   std::vector<std::shared_ptr<TcpSocket>> clients;
   for (int i = 0; i < 20; ++i) {
     auto c = stack0->connect(net.vip(1), 80);
-    c->set_established_handler([&established, c, i] {
-      ++established;
-      c->send(Bytes(static_cast<std::size_t>(i + 1), 0x11));
-    });
+    c->set_established_handler(
+        [&established, weak = std::weak_ptr<TcpSocket>(c), i] {
+          ++established;
+          if (auto self = weak.lock()) {
+            self->send(Bytes(static_cast<std::size_t>(i + 1), 0x11));
+          }
+        });
     c->set_data_handler([&completed, i, got = std::size_t{0}](
                             const Bytes& data) mutable {
       got += data.size();
