@@ -1,12 +1,13 @@
 // Microbenchmarks (google-benchmark) for the library's hot primitives:
-// ring arithmetic, packet (de)serialization, the event queue, the NAT
-// translation fast path, and end-to-end simulated-packet cost.  These
-// bound how fast the testbed simulations run, not anything the paper
-// measures.
+// ring arithmetic, packet (de)serialization and the frame checksum, the
+// event queue, the NAT translation fast path, and end-to-end
+// simulated-packet cost.  These bound how fast the testbed simulations
+// run, not anything the paper measures.
 
 #include <benchmark/benchmark.h>
 
 #include "common/bytes.h"
+#include "common/crc32c.h"
 #include "common/ring_id.h"
 #include "common/rng.h"
 #include "net/nat.h"
@@ -78,6 +79,21 @@ void BM_RoutedPacketForwardHop(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_RoutedPacketForwardHop)->Arg(64)->Arg(1400);
+
+void BM_FrameChecksum(benchmark::State& state) {
+  // The frame checksum alone (CRC-32C over a payload-sized buffer):
+  // the codec-and-checksum share of BM_RoutedPacketForwardHop, apart
+  // from parse and dispatch.
+  Rng rng(4);
+  Bytes buf(static_cast<std::size_t>(state.range(0)));
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32c(0, BytesView(buf)));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_FrameChecksum)->Arg(64)->Arg(1400);
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,5 +1,7 @@
 #include "p2p/packet.h"
 
+#include "common/crc32c.h"
+
 namespace wow::p2p {
 
 const char* to_string(ConnectionType type) {
@@ -45,15 +47,6 @@ void store_u32(std::uint8_t* out, std::uint32_t v) {
   out[3] = static_cast<std::uint8_t>(v);
 }
 
-constexpr std::uint32_t kFnvOffset = 2166136261u;
-constexpr std::uint32_t kFnvPrime = 16777619u;
-
-[[nodiscard]] std::uint32_t fnv1a(std::uint32_t h,
-                                  std::span<const std::uint8_t> bytes) {
-  for (std::uint8_t b : bytes) h = (h ^ b) * kFnvPrime;
-  return h;
-}
-
 /// Routed-frame checksum: the kind byte, the immutable header fields
 /// (bytes 5..54: mode, type, src, dst, trace id) and the payload.
 /// Deliberately skips the checksum field itself and the mutable tail
@@ -62,16 +55,16 @@ constexpr std::uint32_t kFnvPrime = 16777619u;
 /// every hop.  Callers guarantee `f` is at least kHeaderBytes long.
 [[nodiscard]] std::uint32_t routed_checksum(
     std::span<const std::uint8_t> f) {
-  std::uint32_t h = fnv1a(kFnvOffset, f.subspan(0, 1));
-  h = fnv1a(h, f.subspan(5, 50));
-  return fnv1a(h, f.subspan(RoutedPacket::kHeaderBytes));
+  std::uint32_t c = crc32c(0, f.subspan(0, 1));
+  c = crc32c(c, f.subspan(5, 50));
+  return crc32c(c, f.subspan(RoutedPacket::kHeaderBytes));
 }
 
 /// Link-frame checksum: the kind byte plus everything after the
 /// checksum field (link frames are never rewritten in flight).
 [[nodiscard]] std::uint32_t link_checksum(std::span<const std::uint8_t> f) {
-  std::uint32_t h = fnv1a(kFnvOffset, f.subspan(0, 1));
-  return fnv1a(h, f.subspan(5));
+  std::uint32_t c = crc32c(0, f.subspan(0, 1));
+  return crc32c(c, f.subspan(5));
 }
 
 /// Relay-frame checksum: kind byte, the three ring ids (bytes 5..64) and
@@ -79,9 +72,9 @@ constexpr std::uint32_t kFnvPrime = 16777619u;
 /// the relay agent rewrites in place.  Callers guarantee `f` is at least
 /// kHeaderBytes long.
 [[nodiscard]] std::uint32_t relay_checksum(std::span<const std::uint8_t> f) {
-  std::uint32_t h = fnv1a(kFnvOffset, f.subspan(0, 1));
-  h = fnv1a(h, f.subspan(5, 60));
-  return fnv1a(h, f.subspan(RelayFrame::kHeaderBytes));
+  std::uint32_t c = crc32c(0, f.subspan(0, 1));
+  c = crc32c(c, f.subspan(5, 60));
+  return crc32c(c, f.subspan(RelayFrame::kHeaderBytes));
 }
 
 }  // namespace

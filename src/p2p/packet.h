@@ -29,15 +29,17 @@ enum class ConnectionType : std::uint8_t {
 
 /// Outer frame discriminator.
 ///
-/// Every frame carries a 32-bit FNV-1a checksum right after this byte.
-/// UDP's own 16-bit checksum is weak — the fault model lets half of all
-/// corrupted datagrams through it — and a bit-flipped frame that still
-/// parses would install a phantom address (a node that does not exist)
-/// into connection tables.  The application-level checksum closes that:
-/// parse() rejects any frame whose recomputed checksum disagrees, and
-/// the node counts the reject.  For routed frames the checksum covers
-/// only the fields a forwarding hop may NOT rewrite (plus the payload),
-/// so it is computed once at origin and survives in-place forwarding.
+/// Every frame carries a CRC-32C (common/crc32c.h) right after this
+/// byte.  UDP's own 16-bit checksum is weak — the fault model lets half
+/// of all corrupted datagrams through it — and a bit-flipped frame that
+/// still parses would install a phantom address (a node that does not
+/// exist) into connection tables.  The application-level checksum closes
+/// that: any 1–3 flipped bits and any error burst of 32 bits or fewer in
+/// the checksummed bytes are guaranteed to be caught, so parse() rejects
+/// the frame and the node counts the reject.  For routed frames the
+/// checksum covers only the fields a forwarding hop may NOT rewrite
+/// (plus the payload), so it is computed once at origin and survives
+/// in-place forwarding.
 enum class FrameKind : std::uint8_t {
   kRouted = 1,  // forwarded hop-by-hop over the structured ring
   kLink = 2,    // direct link-level message between two endpoints

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/crc32c.h"
 #include "common/ring_id.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -298,6 +299,50 @@ TEST(Stats, HistogramRenderPreservesTotals) {
   for (std::size_t b = 0; b < h.bins(); ++b) sum += h.count(b);
   EXPECT_EQ(sum, h.total());
   EXPECT_NE(rows.find("33.3%"), std::string::npos);  // bin 0: 2 of 6
+}
+
+[[nodiscard]] BytesView text_bytes(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+TEST(Crc32c, MatchesRfc3720CheckValue) {
+  EXPECT_EQ(crc32c(0, text_bytes("123456789")), 0xE3069283u);
+  EXPECT_EQ(detail::crc32c_portable(0, text_bytes("123456789")), 0xE3069283u);
+  EXPECT_EQ(crc32c(0, {}), 0u);
+}
+
+TEST(Crc32c, ChainsLikeOneCall) {
+  Rng rng(91);
+  Bytes data(300);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform(0, 255));
+  const BytesView all(data);
+  const std::uint32_t whole = crc32c(0, all);
+  for (std::size_t cut = 0; cut <= data.size(); ++cut) {
+    EXPECT_EQ(crc32c(crc32c(0, all.first(cut)), all.subspan(cut)), whole)
+        << "cut " << cut;
+    EXPECT_EQ(detail::crc32c_portable(
+                  detail::crc32c_portable(0, all.first(cut)),
+                  all.subspan(cut)),
+              whole)
+        << "cut " << cut;
+  }
+}
+
+/// The dispatched path (SSE4.2 where the CPU has it) agrees with the
+/// portable table for every length and start alignment, so both word
+/// loops and both byte tails are covered.
+TEST(Crc32c, HardwareMatchesPortable) {
+  Rng rng(92);
+  Bytes data(2048 + 8);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform(0, 255));
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 2048; ++len) {
+      const BytesView v(data.data() + align, len);
+      const auto seed = static_cast<std::uint32_t>(len * 2654435761u);
+      ASSERT_EQ(crc32c(seed, v), detail::crc32c_portable(seed, v))
+          << "align " << align << " len " << len;
+    }
+  }
 }
 
 TEST(Rng, Deterministic) {

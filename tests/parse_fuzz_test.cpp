@@ -4,10 +4,12 @@
 // CI job, these are the "no parser crashes under corruption" gate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
 #include <string>
 
+#include "common/crc32c.h"
 #include "common/flight_recorder.h"
 #include "ipop/ip_packet.h"
 #include "p2p/node_stats.h"
@@ -239,24 +241,160 @@ TEST(ParseFuzz, ChecksumRejectsTamperedFrames) {
   EXPECT_TRUE(p2p::LinkFrame::parse(parsed->payload()).has_value());
 }
 
+/// MTU-sized frames for the checksum-strength tests: a routed frame of
+/// exactly `total` bytes, a relay frame of 1400 B tunnelling a routed
+/// one, and the link frame closest to 1400 B (194 URIs: 1396 B).
+[[nodiscard]] Bytes routed_of_size(std::size_t total) {
+  p2p::RoutedPacket p;
+  p.mode = p2p::DeliveryMode::kExact;
+  p.type = p2p::RoutedType::kData;
+  p.src = RingId{0x1111};
+  p.dst = RingId{0x2222};
+  p.via = RingId{0x3333};
+  p.trace_id = 78;
+  Bytes payload(total - p2p::RoutedPacket::kHeaderBytes);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  p.set_payload(std::move(payload));
+  return p.serialize();
+}
+
+[[nodiscard]] Bytes mtu_relay() {
+  Bytes inner = routed_of_size(1400 - p2p::RelayFrame::kHeaderBytes);
+  return p2p::RelayFrame::wrap(RingId{0x8888}, RingId{0x9999},
+                               RingId{0xaaaa}, BytesView(inner));
+}
+
+[[nodiscard]] Bytes mtu_link() {
+  p2p::LinkFrame f;
+  f.type = p2p::LinkType::kReply;
+  f.con_type = p2p::ConnectionType::kShortcut;
+  f.token = 100;
+  f.sender = RingId{0x4444};
+  f.observed = net::Endpoint{net::Ipv4Addr(150, 0, 0, 9), 12345};
+  for (std::uint16_t i = 0; i < 194; ++i) {
+    f.uris.push_back(transport::Uri{
+        transport::TransportKind::kUdp,
+        net::Endpoint{net::Ipv4Addr(10, 1, static_cast<std::uint8_t>(i), 1),
+                      static_cast<std::uint16_t>(17000 + i)}});
+  }
+  return f.serialize();
+}
+
+/// Frame byte offsets in the order the checksum consumes them, built
+/// from half-open [lo, hi) regions (hi = 0: to the end of the frame).
+[[nodiscard]] std::vector<std::size_t> checksummed_bytes(
+    const Bytes& frame,
+    std::initializer_list<std::pair<std::size_t, std::size_t>> regions) {
+  std::vector<std::size_t> out;
+  for (auto [lo, hi] : regions) {
+    if (hi == 0) hi = frame.size();
+    for (std::size_t b = lo; b < hi; ++b) out.push_back(b);
+  }
+  return out;
+}
+
+/// Flip bit `bit` of the checksum's input stream: LSB-first within each
+/// byte, which is the order a reflected CRC consumes bits in.
+void flip_stream_bit(Bytes& frame, const std::vector<std::size_t>& stream,
+                     std::size_t bit) {
+  frame[stream[bit >> 3]] ^= static_cast<std::uint8_t>(1u << (bit & 7));
+}
+
+/// CRC-32C detects every error burst of at most 32 bits in its input.
+/// Sweep every burst length 1..32 at every bit offset of a 1400 B routed
+/// frame's checksummed stream (kind byte, immutable header, payload) —
+/// both the solid burst and the one that flips only its two end bits —
+/// and require the parser to reject each.
+TEST(ParseFuzz, ChecksumRejectsEveryShortBurst) {
+  Bytes frame = routed_of_size(1400);
+  ASSERT_EQ(frame.size(), 1400u);
+  ASSERT_TRUE(p2p::RoutedPacket::parse(BytesView(frame)).has_value());
+  const std::vector<std::size_t> stream = checksummed_bytes(
+      frame, {{0, 1}, {5, 55}, {p2p::RoutedPacket::kHeaderBytes, 0}});
+  const std::size_t bits = stream.size() * 8;
+  auto flip_burst = [&](std::size_t start, std::size_t len, bool solid) {
+    for (std::size_t i = 0; i < len; ++i) {
+      if (solid || i == 0 || i + 1 == len) {
+        flip_stream_bit(frame, stream, start + i);
+      }
+    }
+  };
+  for (std::size_t len = 1; len <= 32; ++len) {
+    for (std::size_t start = 0; start + len <= bits; ++start) {
+      for (bool solid : {true, false}) {
+        if (!solid && len < 3) continue;  // same as the solid burst
+        flip_burst(start, len, solid);
+        ASSERT_FALSE(p2p::RoutedPacket::parse(BytesView(frame)).has_value())
+            << len << "-bit burst at stream bit " << start
+            << (solid ? " (solid)" : " (end bits only)");
+        flip_burst(start, len, solid);  // flipping again restores it
+      }
+    }
+  }
+}
+
+/// The corruption FaultInjector::corrupt applies in flight — 1 to 4 bit
+/// flips at uniform positions — aimed only at guarded bytes (the
+/// checksum field and the checksummed regions; flips in the deliberately
+/// unguarded hop-mutable bytes are meant to pass).  Bits are distinct so
+/// no flip undoes another.  Over MTU-sized routed, link and relay frames
+/// nothing may be accepted: 1–3 flips are guaranteed caught, 4 flips
+/// miss with odds near 2^-32.
+TEST(ParseFuzz, FaultInjectorFlipsOnMtuFramesAreAllRejected) {
+  std::mt19937_64 rng(20261018);
+  struct Case {
+    const char* name;
+    Bytes frame;
+    std::vector<std::size_t> guarded;
+    ParseFn parse;
+  };
+  Bytes routed = routed_of_size(1400);
+  Bytes link = mtu_link();
+  Bytes relay = mtu_relay();
+  ASSERT_EQ(relay.size(), 1400u);
+  ASSERT_EQ(link.size(), 1396u);
+  Case cases[] = {
+      {"routed", routed,
+       checksummed_bytes(routed,
+                         {{0, 55}, {p2p::RoutedPacket::kHeaderBytes, 0}}),
+       [](BytesView b) { return p2p::RoutedPacket::parse(b).has_value(); }},
+      {"link", link, checksummed_bytes(link, {{0, 0}}),
+       [](BytesView b) { return p2p::LinkFrame::parse(b).has_value(); }},
+      {"relay", relay, checksummed_bytes(relay, {{0, 65}, {66, 0}}),
+       [](BytesView b) { return p2p::RelayFrame::parse(b).has_value(); }},
+  };
+  for (const Case& c : cases) {
+    ASSERT_TRUE(c.parse(c.frame)) << c.name;
+    const std::size_t bits = c.guarded.size() * 8;
+    int accepted = 0;
+    for (int round = 0; round < 3000; ++round) {
+      Bytes mutant = c.frame;
+      const int flips = 1 + static_cast<int>(rng() % 4);
+      std::vector<std::size_t> chosen;
+      while (chosen.size() < static_cast<std::size_t>(flips)) {
+        std::size_t bit = rng() % bits;
+        if (std::find(chosen.begin(), chosen.end(), bit) == chosen.end()) {
+          chosen.push_back(bit);
+        }
+      }
+      for (std::size_t bit : chosen) flip_stream_bit(mutant, c.guarded, bit);
+      accepted += c.parse(mutant) ? 1 : 0;
+    }
+    EXPECT_EQ(accepted, 0) << c.name;
+  }
+}
+
 // ---------------------------------------------------------------------
-// Checksum-valid adversarial mutations.  The FNV-1a frame checksum is an
-// INTEGRITY check, not an authenticity check: any peer who can emit
+// Checksum-valid adversarial mutations.  The CRC-32C frame checksum is
+// an INTEGRITY check, not an authenticity check: any peer who can emit
 // frames can compute it.  These tests mutate a checksummed field and
 // then re-checksum, mirroring the production layout in packet.cpp byte
 // for byte — so they double as a drift guard on the checksummed regions,
 // and they pin down exactly what the parser can and cannot reject when
 // the adversary does its homework (the byzantine defenses above the
 // parser exist precisely for the "cannot" half).
-
-constexpr std::uint32_t kFnvOffset = 2166136261u;
-constexpr std::uint32_t kFnvPrime = 16777619u;
-
-[[nodiscard]] std::uint32_t fnv1a(std::uint32_t h, const std::uint8_t* p,
-                                  std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-  return h;
-}
 
 void store_csum(Bytes& f, std::uint32_t v) {
   f[1] = static_cast<std::uint8_t>(v >> 24);
@@ -269,25 +407,26 @@ void store_csum(Bytes& f, std::uint32_t v) {
 /// frame-specific immutable region, skipping the checksum field itself
 /// and any hop-mutable bytes.
 void rechecksum_routed(Bytes& f) {
-  std::uint32_t h = fnv1a(kFnvOffset, f.data(), 1);
-  h = fnv1a(h, f.data() + 5, 50);
-  h = fnv1a(h, f.data() + p2p::RoutedPacket::kHeaderBytes,
-            f.size() - p2p::RoutedPacket::kHeaderBytes);
-  store_csum(f, h);
+  const BytesView v(f);
+  std::uint32_t c = crc32c(0, v.first(1));
+  c = crc32c(c, v.subspan(5, 50));
+  c = crc32c(c, v.subspan(p2p::RoutedPacket::kHeaderBytes));
+  store_csum(f, c);
 }
 
 void rechecksum_link(Bytes& f) {
-  std::uint32_t h = fnv1a(kFnvOffset, f.data(), 1);
-  h = fnv1a(h, f.data() + 5, f.size() - 5);
-  store_csum(f, h);
+  const BytesView v(f);
+  std::uint32_t c = crc32c(0, v.first(1));
+  c = crc32c(c, v.subspan(5));
+  store_csum(f, c);
 }
 
 void rechecksum_relay(Bytes& f) {
-  std::uint32_t h = fnv1a(kFnvOffset, f.data(), 1);
-  h = fnv1a(h, f.data() + 5, 60);
-  h = fnv1a(h, f.data() + p2p::RelayFrame::kHeaderBytes,
-            f.size() - p2p::RelayFrame::kHeaderBytes);
-  store_csum(f, h);
+  const BytesView v(f);
+  std::uint32_t c = crc32c(0, v.first(1));
+  c = crc32c(c, v.subspan(5, 60));
+  c = crc32c(c, v.subspan(p2p::RelayFrame::kHeaderBytes));
+  store_csum(f, c);
 }
 
 /// A re-checksummed identity forgery sails through every parser — the
