@@ -41,17 +41,14 @@ bool BootstrapOverlord::probe_endpoint(bool reprobe) {
     rotation_ = i + 1;
     pending_probe_ = static_cast<std::int32_t>(i);
     ++stats_.bootstrap_probes;
-    if (hooks_.record_flight) {
-      hooks_.record_flight(FlightKind::kBootstrapProbe, Address{},
-                           static_cast<std::int32_t>(i),
-                           health_[i].failures);
-    }
+    flight_.record(now, FlightKind::kBootstrapProbe, Address{}.brief(),
+                   static_cast<std::int32_t>(i), health_[i].failures);
     if (tracer_.enabled(TraceClass::kLifecycle)) {
       tracer_.event(now, "node", trace_node_,
                     reprobe ? "bootstrap.reprobe" : "bootstrap.probe",
                     {{"uri", uri.to_string()}});
     }
-    hooks_.link_start(Address{}, ConnectionType::kLeaf, {uri});
+    linking_.start(Address{}, ConnectionType::kLeaf, {uri});
     return true;
   }
   return false;
@@ -61,10 +58,10 @@ void BootstrapOverlord::maintain_leaf() {
   if (!table_.empty()) return;
   cache_.evict_stale(timers_.now());
   if (cache_attempt_ != Address{}) {
-    if (hooks_.link_attempting(cache_attempt_)) return;  // still in flight
+    if (linking_.attempting(cache_attempt_)) return;  // still in flight
     cache_attempt_ = Address{};
   }
-  if (hooks_.link_attempting(Address{})) return;  // endpoint probe in flight
+  if (linking_.attempting(Address{})) return;  // endpoint probe in flight
   // Cached peer first: a warm restart rejoins through a recently-live
   // peer and keeps the whole flash crowd off the well-known endpoints.
   if (const PeerCache::Entry* e = cache_.freshest()) {
@@ -74,7 +71,7 @@ void BootstrapOverlord::maintain_leaf() {
       tracer_.event(timers_.now(), "node", trace_node_,
                     "bootstrap.cache_probe", {{"peer", e->addr.brief()}});
     }
-    hooks_.link_start(e->addr, ConnectionType::kLeaf, e->uris);
+    linking_.start(e->addr, ConnectionType::kLeaf, e->uris);
     return;
   }
   probe_endpoint(/*reprobe=*/false);
@@ -94,7 +91,7 @@ void BootstrapOverlord::maintain_bootstrap() {
       config_.bootstrap_reprobe_interval) {
     return;
   }
-  if (hooks_.link_attempting(Address{})) return;
+  if (linking_.attempting(Address{})) return;
   last_bootstrap_probe_ = timers_.now();
   probe_endpoint(/*reprobe=*/true);
 }
@@ -125,11 +122,9 @@ void BootstrapOverlord::note_probe_failed() {
   h.retry_after =
       timers_.now() + backoff + rng_.jitter(kBootstrapBackoffBase);
   ++stats_.bootstrap_endpoint_failures;
-  if (hooks_.record_flight) {
-    hooks_.record_flight(
-        FlightKind::kEndpointDown, Address{}, pending_probe_,
-        static_cast<std::int32_t>(to_seconds(backoff)));
-  }
+  flight_.record(timers_.now(), FlightKind::kEndpointDown, Address{}.brief(),
+                 pending_probe_,
+                 static_cast<std::int32_t>(to_seconds(backoff)));
   if (tracer_.enabled(TraceClass::kLifecycle)) {
     tracer_.event(timers_.now(), "node", trace_node_,
                   "bootstrap.endpoint_down",
@@ -157,8 +152,7 @@ void BootstrapOverlord::note_leaf_established(const Address& peer) {
     // successive re-probe intervals the single leaf cycles across every
     // endpoint, so the merge safety net covers the whole well-known
     // list at a constant one-connection cost.
-    if (hooks_.drop_leaf && last_own_leaf_ != Address{} &&
-        last_own_leaf_ != peer) {
+    if (last_own_leaf_ != Address{} && last_own_leaf_ != peer) {
       const Connection* old = table_.find(last_own_leaf_);
       if (old != nullptr && !old->is_relay() &&
           old->type == ConnectionType::kLeaf) {
@@ -169,9 +163,8 @@ void BootstrapOverlord::note_leaf_established(const Address& peer) {
   }
   if (peer == cache_attempt_ && peer != Address{}) {
     ++stats_.bootstrap_cache_rejoins;
-    if (hooks_.record_flight) {
-      hooks_.record_flight(FlightKind::kCacheRejoin, peer, 0, 0);
-    }
+    flight_.record(timers_.now(), FlightKind::kCacheRejoin, peer.brief(), 0,
+                   0);
     if (tracer_.enabled(TraceClass::kLifecycle)) {
       tracer_.event(timers_.now(), "node", trace_node_,
                     "bootstrap.cache_rejoin", {{"peer", peer.brief()}});

@@ -11,6 +11,7 @@
 #include "common/trace.h"
 #include "p2p/connection_table.h"
 #include "p2p/edge.h"
+#include "p2p/linking.h"
 #include "p2p/node_config.h"
 #include "p2p/node_stats.h"
 #include "p2p/packet.h"
@@ -54,31 +55,24 @@ inline constexpr std::size_t kGossipPerSourceCap = 2;
 class BootstrapOverlord {
  public:
   struct Hooks {
-    /// Is a link attempt toward `peer` in flight?  (The zero address
-    /// keys leaf attempts.)
-    std::function<bool(const Address& peer)> link_attempting;
-    std::function<void(const Address& peer, ConnectionType type,
-                       const std::vector<transport::Uri>& uris)>
-        link_start;
-    /// Post an entry on the owning node's flight recorder (optional —
-    /// isolation tests wire fewer hooks).
-    std::function<void(FlightKind kind, const Address& peer, std::int32_t a,
-                       std::int32_t b)>
-        record_flight;
-    /// Gracefully close a surplus leaf connection (optional): leaf
-    /// rotation keeps ONE bootstrap leaf per node, so re-probing every
-    /// endpoint over time costs a constant connection budget instead of
-    /// one leaf per endpoint.
+    /// Gracefully close a surplus leaf connection: leaf rotation keeps
+    /// ONE bootstrap leaf per node, so re-probing every endpoint over
+    /// time costs a constant connection budget instead of one leaf per
+    /// endpoint.
     std::function<void(const Address& peer)> drop_leaf;
   };
 
+  /// Leaf probes run on `linking`; the zero address keys a probe whose
+  /// peer is not yet known.
   BootstrapOverlord(sim::TimerService& timers, Rng& rng, Tracer& tracer,
                     const NodeConfig& config, ConnectionTable& table,
                     EdgeFactory& edges, NodeStats& stats, PeerCache& cache,
+                    FlightRecorder& flight, LinkingEngine& linking,
                     const std::string& trace_node, Hooks hooks)
       : timers_(timers), rng_(rng), tracer_(tracer), config_(config),
         table_(table), edges_(edges), stats_(stats), cache_(cache),
-        trace_node_(trace_node), hooks_(std::move(hooks)) {}
+        flight_(flight), linking_(linking), trace_node_(trace_node),
+        hooks_(std::move(hooks)) {}
 
   BootstrapOverlord(const BootstrapOverlord&) = delete;
   BootstrapOverlord& operator=(const BootstrapOverlord&) = delete;
@@ -156,6 +150,8 @@ class BootstrapOverlord {
   EdgeFactory& edges_;
   NodeStats& stats_;
   PeerCache& cache_;
+  FlightRecorder& flight_;
+  LinkingEngine& linking_;
   const std::string& trace_node_;
   Hooks hooks_;
 

@@ -25,16 +25,16 @@ void CensusAgent::maintain() {
   probe.origin = table_.self();
   probe.hops = 0;
   probe.ttl = kCensusTtl;
-  probe.origin_uris = hooks_.local_uris();
+  probe.origin_uris = edges_.local_uris();
   const Bytes wire = probe.serialize();
-  hooks_.send(succ->remote, wire);
+  edges_.send_to(succ->remote, wire);
   // Inject a copy through every leaf link: a leaf into a well-known
   // bootstrap endpoint may land in an independently-formed ring, and
   // that is the only path a successor walk can never reach.
   table_.for_each([&](const Connection& c) {
     if (c.is_relay() || c.type != ConnectionType::kLeaf) return;
     if (c.addr == succ->addr) return;
-    hooks_.send(c.remote, wire);
+    edges_.send_to(c.remote, wire);
   });
   ++stats_.census_launched;
   if (tracer_.enabled(TraceClass::kProtocol)) {
@@ -50,9 +50,8 @@ void CensusAgent::handle(const CensusFrame& frame) {
   if (frame.origin == self) {
     // Full loop: the walk came home, hops == live ring size.
     ++stats_.census_completed;
-    if (hooks_.record_flight) {
-      hooks_.record_flight(FlightKind::kCensusDone, Address{}, hops, 0);
-    }
+    flight_.record(timers_.now(), FlightKind::kCensusDone, Address{}.brief(),
+                   hops, 0);
     if (tracer_.enabled(TraceClass::kProtocol)) {
       tracer_.event(timers_.now(), "node", trace_node_, "census.done",
                     {{"size", std::to_string(hops)}});
@@ -77,9 +76,8 @@ void CensusAgent::handle(const CensusFrame& frame) {
                              self.clockwise_distance(succ->addr);
   if (origin_in_arc && !table_.contains(frame.origin)) {
     ++stats_.merges_initiated;
-    if (hooks_.record_flight) {
-      hooks_.record_flight(FlightKind::kMergeStart, frame.origin, hops, 0);
-    }
+    flight_.record(timers_.now(), FlightKind::kMergeStart,
+                   frame.origin.brief(), hops, 0);
     if (tracer_.enabled(TraceClass::kProtocol)) {
       tracer_.event(timers_.now(), "node", trace_node_, "census.merge_start",
                     {{"origin", frame.origin.brief()},
@@ -91,8 +89,8 @@ void CensusAgent::handle(const CensusFrame& frame) {
     if (!tracked && pending_merges_.size() < kMaxPendingMerges) {
       pending_merges_.push_back(frame.origin);
     }
-    if (!hooks_.link_attempting(frame.origin)) {
-      hooks_.link_start(frame.origin, ConnectionType::kStructuredNear,
+    if (!linking_.attempting(frame.origin)) {
+      linking_.start(frame.origin, ConnectionType::kStructuredNear,
                         frame.origin_uris);
     }
     return;  // the probe's job is done; the bridge takes it from here
@@ -105,7 +103,7 @@ void CensusAgent::forward(const CensusFrame& frame, std::uint16_t hops) {
   if (succ == nullptr || succ->is_relay()) return;
   CensusFrame next = frame;
   next.hops = hops;
-  hooks_.send(succ->remote, next.serialize());
+  edges_.send_to(succ->remote, next.serialize());
 }
 
 void CensusAgent::note_established(const Address& peer) {
@@ -113,9 +111,7 @@ void CensusAgent::note_established(const Address& peer) {
   if (it == pending_merges_.end()) return;
   pending_merges_.erase(it);
   ++stats_.merges_completed;
-  if (hooks_.record_flight) {
-    hooks_.record_flight(FlightKind::kMergeDone, peer, 0, 0);
-  }
+  flight_.record(timers_.now(), FlightKind::kMergeDone, peer.brief(), 0, 0);
   if (tracer_.enabled(TraceClass::kProtocol)) {
     tracer_.event(timers_.now(), "node", trace_node_, "census.merge_done",
                   {{"peer", peer.brief()}});

@@ -9,6 +9,8 @@
 #include "common/time.h"
 #include "common/trace.h"
 #include "p2p/connection_table.h"
+#include "p2p/edge.h"
+#include "p2p/linking.h"
 #include "p2p/node_config.h"
 #include "p2p/node_stats.h"
 #include "p2p/packet.h"
@@ -48,24 +50,18 @@ class CensusAgent {
     /// Both ring sides covered (census only launches from a routable
     /// node — a half-joined node has no ring to measure).
     std::function<bool()> routable;
-    std::function<std::vector<transport::Uri>()> local_uris;
-    /// Send a serialized frame to a direct remote endpoint.
-    std::function<void(const net::Endpoint& to, const Bytes& frame)> send;
-    std::function<bool(const Address& peer)> link_attempting;
-    std::function<void(const Address& peer, ConnectionType type,
-                       const std::vector<transport::Uri>& uris)>
-        link_start;
-    /// Post an entry on the owning node's flight recorder (optional).
-    std::function<void(FlightKind kind, const Address& peer, std::int32_t a,
-                       std::int32_t b)>
-        record_flight;
   };
 
+  /// Probes go straight out on `edges` to direct endpoints; merge
+  /// bridges start on `linking`.
   CensusAgent(sim::TimerService& timers, Tracer& tracer,
               const NodeConfig& config, ConnectionTable& table,
-              NodeStats& stats, const std::string& trace_node, Hooks hooks)
+              NodeStats& stats, FlightRecorder& flight, EdgeFactory& edges,
+              LinkingEngine& linking, const std::string& trace_node,
+              Hooks hooks)
       : timers_(timers), tracer_(tracer), config_(config), table_(table),
-        stats_(stats), trace_node_(trace_node), hooks_(std::move(hooks)) {}
+        stats_(stats), flight_(flight), edges_(edges), linking_(linking),
+        trace_node_(trace_node), hooks_(std::move(hooks)) {}
 
   CensusAgent(const CensusAgent&) = delete;
   CensusAgent& operator=(const CensusAgent&) = delete;
@@ -107,6 +103,9 @@ class CensusAgent {
   const NodeConfig& config_;
   ConnectionTable& table_;
   NodeStats& stats_;
+  FlightRecorder& flight_;
+  EdgeFactory& edges_;
+  LinkingEngine& linking_;
   const std::string& trace_node_;
   Hooks hooks_;
 

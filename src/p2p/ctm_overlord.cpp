@@ -30,13 +30,13 @@ bool CtmOverlord::check_replay(const Address& src, std::uint32_t token) {
 
 void CtmOverlord::initiate(const Address& target, ConnectionType type) {
   if (!hooks_.running() || table_.empty()) return;
-  if (hooks_.is_quarantined(target)) return;
+  if (keepalive_.is_quarantined(target)) return;
   std::uint32_t token = mint_token();
 
   CtmRequest req;
   req.con_type = type;
   req.token = token;
-  req.uris = hooks_.local_uris();
+  req.uris = edges_.local_uris();
 
   RoutedPacket packet;
   packet.src = table_.self();
@@ -63,9 +63,8 @@ void CtmOverlord::initiate(const Address& target, ConnectionType type) {
   ++stats_.ctm_sent;
   // Targeted acquisitions only (join/stabilize announces would cycle
   // the ring every stabilize period and evict the interesting events).
-  if (hooks_.record_flight) {
-    hooks_.record_flight(FlightKind::kCtmSent, target, int(type));
-  }
+  flight_.record(timers_.now(), FlightKind::kCtmSent, target.brief(),
+                 int(type));
   hooks_.route(std::move(packet));
 }
 
@@ -104,7 +103,7 @@ void CtmOverlord::send_join() {
     req.con_type = ConnectionType::kStructuredNear;
     req.token = token;
     req.forwarder = agent->addr;
-    req.uris = hooks_.local_uris();
+    req.uris = edges_.local_uris();
 
     RoutedPacket packet;
     packet.src = table_.self();
@@ -183,10 +182,8 @@ void CtmOverlord::handle_request(const RoutedPacket& packet,
   if (config_.defenses_enabled && req->token != 0 &&
       check_replay(packet.src, req->token)) {
     ++stats_.replays_detected;
-    if (hooks_.record_flight) {
-      hooks_.record_flight(FlightKind::kReplayHit, packet.src,
-                           static_cast<std::int32_t>(req->token));
-    }
+    flight_.record(timers_.now(), FlightKind::kReplayHit, packet.src.brief(),
+                   static_cast<std::int32_t>(req->token));
     if (tracer_.enabled(TraceClass::kProtocol)) {
       tracer_.event(timers_.now(), "node", trace_node_, "ctm.replay",
                     {{"src", packet.src.brief()},
@@ -196,7 +193,7 @@ void CtmOverlord::handle_request(const RoutedPacket& packet,
     CtmReply minimal;
     minimal.con_type = req->con_type;
     minimal.token = req->token;
-    minimal.uris = hooks_.local_uris();
+    minimal.uris = edges_.local_uris();
     RoutedPacket out;
     out.src = table_.self();
     out.dst = packet.src;
@@ -234,7 +231,7 @@ void CtmOverlord::handle_request(const RoutedPacket& packet,
   CtmReply reply;
   reply.con_type = req->con_type;
   reply.token = req->token;
-  reply.uris = hooks_.local_uris();
+  reply.uris = edges_.local_uris();
   // Hint the requester with our best-known bracket of ITS ring
   // position.  The requester links to the hints, so its next
   // announcement starts from a strictly tighter vantage point — the
@@ -289,7 +286,7 @@ void CtmOverlord::handle_request(const RoutedPacket& packet,
   // The CTM target initiates linking right away (§IV-B step 2b): its
   // outbound packets punch the NAT hole for the initiator's attempt.
   if (link_wanted) {
-    hooks_.link_start(packet.src, req->con_type, req->uris);
+    linking_.start(packet.src, req->con_type, req->uris);
   }
 }
 
@@ -362,7 +359,7 @@ void CtmOverlord::handle_reply(const RoutedPacket& packet,
     }
   }
   if (link_wanted) {
-    hooks_.link_start(packet.src, type, reply->uris);
+    linking_.start(packet.src, type, reply->uris);
   }
 
   // A join reply carries the responder's neighbor hints: link to the
@@ -371,16 +368,22 @@ void CtmOverlord::handle_reply(const RoutedPacket& packet,
     for (const NeighborHint& hint : reply->neighbors) {
       if (hint.addr == table_.self()) continue;
       if (!wants_near(hint.addr)) continue;
-      hooks_.link_start(hint.addr, ConnectionType::kStructuredNear,
-                        hint.uris);
+      linking_.start(hint.addr, ConnectionType::kStructuredNear, hint.uris);
     }
   }
-  // Gossip samples never trigger links — they only warm the owner's
-  // bootstrap peer cache.
-  if (hooks_.note_peer) {
-    for (const NeighborHint& sample : reply->samples) {
-      if (sample.addr == table_.self()) continue;
-      hooks_.note_peer(sample.addr, sample.uris, packet.src);
+  // Gossip samples never trigger links — they only warm the bootstrap
+  // peer cache, so a later rejoin skips the well-known endpoints.
+  // Samples are hearsay: with defenses on they enter the cache
+  // unverified, attributed to the responder, and capped per source
+  // (poison resistance, DESIGN §16).
+  const bool verified = !config_.defenses_enabled;
+  for (const NeighborHint& sample : reply->samples) {
+    if (sample.addr == table_.self() || sample.uris.empty()) continue;
+    if (peer_cache_.note(sample.addr, transport::UriList(sample.uris),
+                         timers_.now(), verified, packet.src)) {
+      ++stats_.gossip_peers_learned;
+    } else {
+      ++stats_.gossip_poison_rejects;
     }
   }
 }
@@ -425,10 +428,8 @@ void CtmOverlord::sweep() {
       continue;
     }
     ++stats_.ctm_timeouts;
-    if (hooks_.record_flight) {
-      hooks_.record_flight(FlightKind::kCtmTimeout, it->second.target,
-                           int(it->second.type));
-    }
+    flight_.record(timers_.now(), FlightKind::kCtmTimeout,
+                   it->second.target.brief(), int(it->second.type));
     if (it->second.span != 0) {
       tracer_.end_span(timers_.now(), "node", trace_node_, "ctm.expired",
                        it->second.span,
@@ -447,7 +448,7 @@ void CtmOverlord::retry(std::uint32_t token, PendingCtm& pending) {
   CtmRequest req;
   req.con_type = pending.type;
   req.token = token;
-  req.uris = hooks_.local_uris();
+  req.uris = edges_.local_uris();
 
   RoutedPacket packet;
   packet.src = table_.self();

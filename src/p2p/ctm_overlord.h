@@ -12,10 +12,14 @@
 #include "common/time.h"
 #include "common/trace.h"
 #include "p2p/connection_table.h"
+#include "p2p/edge.h"
+#include "p2p/keepalive.h"
+#include "p2p/linking.h"
 #include "p2p/misbehavior.h"
 #include "p2p/node_config.h"
 #include "p2p/node_stats.h"
 #include "p2p/packet.h"
+#include "p2p/peer_cache.h"
 #include "sim/timer_service.h"
 
 namespace wow::p2p {
@@ -41,9 +45,11 @@ inline constexpr std::size_t kCtmReplayWindow = 64;
 ///
 /// Owns the pending-CTM ledger (tokens, adaptive retry budget, the
 /// node-level CTM round-trip estimator), the join/stabilization
-/// announce (§IV-C), and the structured-near / structured-far overlords
-/// — everything that decides WHICH ring connections to acquire.  The
-/// actual packet movement and link handshakes stay behind the hooks.
+/// announce (§IV-C), the structured-near / structured-far overlords —
+/// everything that decides WHICH ring connections to acquire — and
+/// the admission of gossip peer samples into the bootstrap cache.  It
+/// starts link handshakes on the sibling LinkingEngine directly; packet
+/// movement stays behind the hooks (Node's routing).
 class CtmOverlord {
  public:
   struct Hooks {
@@ -56,35 +62,21 @@ class CtmOverlord {
     /// are source-routed through their agent).
     std::function<void(const Connection& next, RoutedPacket packet)>
         forward_to;
-    std::function<std::vector<transport::Uri>()> local_uris;
-    /// Begin a link handshake toward `peer` over its advertised URIs.
-    std::function<void(const Address& peer, ConnectionType type,
-                       const std::vector<transport::Uri>& uris)>
-        link_start;
-    std::function<bool(const Address& peer)> is_quarantined;
     /// Re-check first-routable after a role upgrade touched the table.
     std::function<void()> update_routable;
     std::function<void()> count_parse_reject;
-    /// Post an entry on the owning node's flight recorder (optional —
-    /// isolation tests wire fewer hooks).
-    std::function<void(FlightKind kind, const Address& peer, std::int32_t a)>
-        record_flight;
-    /// A gossip peer sample arrived in a CTM reply (optional): the owner
-    /// feeds it to the bootstrap peer cache.  `source` is the responder
-    /// that offered the sample — the cache's poison-resistance tracks
-    /// per-source provenance (DESIGN §16).
-    std::function<void(const Address& peer,
-                       const std::vector<transport::Uri>& uris,
-                       const Address& source)>
-        note_peer;
   };
 
   CtmOverlord(sim::TimerService& timers, Rng& rng, Tracer& tracer,
               const NodeConfig& config, ConnectionTable& table,
-              NodeStats& stats, const std::string& trace_node, Hooks hooks)
+              NodeStats& stats, FlightRecorder& flight, EdgeFactory& edges,
+              LinkingEngine& linking, const KeepaliveManager& keepalive,
+              PeerCache& peer_cache, const std::string& trace_node,
+              Hooks hooks)
       : timers_(timers), rng_(rng), tracer_(tracer), config_(config),
-        table_(table), stats_(stats), trace_node_(trace_node),
-        hooks_(std::move(hooks)) {}
+        table_(table), stats_(stats), flight_(flight), edges_(edges),
+        linking_(linking), keepalive_(keepalive), peer_cache_(peer_cache),
+        trace_node_(trace_node), hooks_(std::move(hooks)) {}
 
   CtmOverlord(const CtmOverlord&) = delete;
   CtmOverlord& operator=(const CtmOverlord&) = delete;
@@ -196,6 +188,12 @@ class CtmOverlord {
   const NodeConfig& config_;
   ConnectionTable& table_;
   NodeStats& stats_;
+  FlightRecorder& flight_;
+  EdgeFactory& edges_;
+  LinkingEngine& linking_;
+  const KeepaliveManager& keepalive_;
+  /// Gossip samples from CTM replies warm this cache (DESIGN §16).
+  PeerCache& peer_cache_;
   const std::string& trace_node_;
   Hooks hooks_;
 

@@ -161,10 +161,9 @@ void KeepaliveManager::note_flap(const Address& peer, SimDuration lifetime) {
           "quarantined " + peer.brief() + " for " +
               std::to_string(to_seconds(duration)) + "s (level " +
               std::to_string(h.quarantine_level) + ")");
-  if (hooks_.record_flight) {
-    hooks_.record_flight(FlightKind::kQuarantine, peer, h.quarantine_level,
-                         static_cast<std::int32_t>(to_seconds(duration)));
-  }
+  flight_.record(now, FlightKind::kQuarantine, peer.brief(),
+                 h.quarantine_level,
+                 static_cast<std::int32_t>(to_seconds(duration)));
   if (tracer_.enabled(TraceClass::kLifecycle)) {
     tracer_.event(now, "node", trace_node_, "quarantine.begin",
                   {{"peer", peer.brief()},
@@ -192,10 +191,9 @@ void KeepaliveManager::punish(const Address& peer) {
           "punished " + peer.brief() + ": quarantined for " +
               std::to_string(to_seconds(duration)) + "s (level " +
               std::to_string(h.quarantine_level) + ")");
-  if (hooks_.record_flight) {
-    hooks_.record_flight(FlightKind::kQuarantine, peer, h.quarantine_level,
-                         static_cast<std::int32_t>(to_seconds(duration)));
-  }
+  flight_.record(now, FlightKind::kQuarantine, peer.brief(),
+                 h.quarantine_level,
+                 static_cast<std::int32_t>(to_seconds(duration)));
   if (tracer_.enabled(TraceClass::kLifecycle)) {
     tracer_.event(now, "node", trace_node_, "quarantine.begin",
                   {{"peer", peer.brief()},

@@ -43,7 +43,8 @@ inline constexpr SimDuration kQuarantineMax = 2 * kMinute;
 /// RTT sampling), the durable per-peer health memory (RTT estimate that
 /// warm-starts re-established connections, flap history), and the flap
 /// quarantine policy.  Talks to the rest of the node only through the
-/// connection table it shares and the two hooks below.
+/// connection table and flight recorder it shares and the two hooks
+/// below.
 class KeepaliveManager {
  public:
   struct Hooks {
@@ -54,20 +55,17 @@ class KeepaliveManager {
     /// A connection exceeded its probe budget; drop it (no Close).
     std::function<void(const Address& peer, DisconnectCause cause)>
         drop_connection;
-    /// Post an entry on the owning node's flight recorder (optional —
-    /// isolation tests wire fewer hooks).
-    std::function<void(FlightKind kind, const Address& peer, std::int32_t a,
-                       std::int32_t b)>
-        record_flight;
   };
 
   KeepaliveManager(sim::TimerService& timers, Tracer& tracer, Logger& logger,
                    const NodeConfig& config, ConnectionTable& table,
-                   NodeStats& stats, const std::string& trace_node,
+                   NodeStats& stats, FlightRecorder& flight,
+                   const std::string& trace_node,
                    const std::string& log_component, Hooks hooks)
       : timers_(timers), tracer_(tracer), logger_(logger), config_(config),
-        table_(table), stats_(stats), trace_node_(trace_node),
-        log_component_(log_component), hooks_(std::move(hooks)) {}
+        table_(table), stats_(stats), flight_(flight),
+        trace_node_(trace_node), log_component_(log_component),
+        hooks_(std::move(hooks)) {}
 
   ~KeepaliveManager() { stop(); }
   KeepaliveManager(const KeepaliveManager&) = delete;
@@ -182,6 +180,7 @@ class KeepaliveManager {
   const NodeConfig& config_;
   ConnectionTable& table_;
   NodeStats& stats_;
+  FlightRecorder& flight_;
   const std::string& trace_node_;
   const std::string& log_component_;
   Hooks hooks_;

@@ -427,4 +427,12 @@ void LinkingEngine::abort_all() {
   attempts_.clear();
 }
 
+void LinkingEngine::reset() {
+  abort_all();
+  next_token_ = 1;
+  recent_ = {};
+  recent_cursor_ = 0;
+  stats_ = {};
+}
+
 }  // namespace wow::p2p

@@ -105,6 +105,12 @@ class LinkingEngine {
   /// Cancel all in-flight attempts (node shutdown / migration).
   void abort_all();
 
+  /// Return to the state of a freshly constructed engine: no attempts,
+  /// token counter at 1, empty recent-attempt memory, zeroed stats.
+  /// Link tokens go on the wire, so a restarted node must mint exactly
+  /// the sequence a new engine would.
+  void reset();
+
   [[nodiscard]] const LinkConfig& config() const { return config_; }
 
   struct Stats {

@@ -65,6 +65,42 @@ Node::Node(NodeDeps deps, NodeConfig config)
   trace_node_ = config_.address.brief();
   log_component_ = "node/" + trace_node_;
   register_metrics();
+  // The link engine first: every service below that starts or queries
+  // handshakes holds a reference to it.
+  linking_ = std::make_unique<LinkingEngine>(
+      timers_, rng_, tracer_, *edges_, config_.address, config_.link,
+      LinkingEngine::Callbacks{
+          [this](const Address& peer, const std::vector<transport::Uri>& uris,
+                 const net::Endpoint& remote, ConnectionType type) {
+            on_link_established(peer, uris, remote, type);
+          },
+          [this](const Address& peer, ConnectionType type) {
+            on_link_failed(peer, type);
+          },
+          [this](const transport::Uri& uri) {
+            if (edges_->learn_public_uri(uri)) refresh_connections();
+          },
+          // "Has a connection" means a DIRECT one: a relay tunnel must
+          // not block the upgrade probes that would replace it.
+          [this](const Address& peer) {
+            const Connection* c = table_.find(peer);
+            return c != nullptr && !c->is_relay();
+          },
+          [this](const Address& peer) {
+            return keepalive_->peer_rto_hint(peer);
+          },
+          [this](const Address& peer, SimDuration sample) {
+            keepalive_->note_rtt(peer, sample);
+          },
+          [this](const Address& peer) {
+            return keepalive_->is_quarantined(peer);
+          },
+          [this](const net::Endpoint& from) {
+            (void)from;
+            ++stats_.forged_replies_rejected;
+          },
+      },
+      config_.defenses_enabled);
   build_services();
   register_handlers();
 }
@@ -128,41 +164,7 @@ void Node::start() {
         on_datagram(from, std::move(payload));
       });
 
-  linking_ = std::make_unique<LinkingEngine>(
-      timers_, rng_, tracer_, *edges_, config_.address, config_.link,
-      LinkingEngine::Callbacks{
-          [this](const Address& peer, const std::vector<transport::Uri>& uris,
-                 const net::Endpoint& remote, ConnectionType type) {
-            on_link_established(peer, uris, remote, type);
-          },
-          [this](const Address& peer, ConnectionType type) {
-            on_link_failed(peer, type);
-          },
-          [this](const transport::Uri& uri) {
-            if (edges_->learn_public_uri(uri)) refresh_connections();
-          },
-          // "Has a connection" means a DIRECT one: a relay tunnel must
-          // not block the upgrade probes that would replace it.
-          [this](const Address& peer) {
-            const Connection* c = table_.find(peer);
-            return c != nullptr && !c->is_relay();
-          },
-          [this](const Address& peer) {
-            return keepalive_->peer_rto_hint(peer);
-          },
-          [this](const Address& peer, SimDuration sample) {
-            keepalive_->note_rtt(peer, sample);
-          },
-          [this](const Address& peer) {
-            return keepalive_->is_quarantined(peer);
-          },
-          [this](const net::Endpoint& from) {
-            (void)from;
-            ++stats_.forged_replies_rejected;
-          },
-      },
-      config_.defenses_enabled);
-
+  linking_->reset();
   running_ = true;
   routable_since_.reset();
   ctm_->on_start();
@@ -195,7 +197,7 @@ void Node::stop() {
   }
   timers_.cancel(maintenance_timer_);
   keepalive_->stop();
-  if (linking_) linking_->abort_all();
+  linking_->abort_all();
   relays_->abort_all();
   table_.clear();
   ctm_->reset();

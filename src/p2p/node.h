@@ -44,9 +44,12 @@ class ShortcutOverlord;
 ///   - BootstrapOverlord  multi-endpoint discovery + cached-peer rejoin
 ///   - CensusAgent        ring census + partitioned-ring merge
 ///   - ShortcutOverlord   proximity shortcuts
-/// The node wires them together over shared state (ConnectionTable,
-/// NodeStats) and hook functions, and demuxes inbound frames through
-/// kind-indexed HandlerRegistry tables instead of switch statements.
+/// The node builds each service once, handing it the shared state
+/// (ConnectionTable, NodeStats, FlightRecorder, PeerCache) and the
+/// sibling services it calls by reference.  A service's Hooks struct
+/// carries only up-calls into the node's own routing and connection
+/// lifecycle.  Inbound frames are demuxed through kind-indexed
+/// HandlerRegistry tables instead of switch statements.
 ///
 /// Life cycle: construct (from a NodeDeps bundle) -> start() ->
 /// exchanges data via send_data()/set_data_handler().  stop() models
@@ -224,7 +227,8 @@ class Node {
   void send_link_frame(const Connection& c, const LinkFrame& frame);
   /// Wire the frame-kind and routed-type dispatch tables (ctor).
   void register_handlers();
-  /// Construct the protocol services and their hooks (ctor).
+  /// Construct the protocol services, their sibling references and
+  /// their up-call hooks (ctor).
   void build_services();
 
   // routing.  `from` is the source endpoint of the datagram that
@@ -282,18 +286,18 @@ class Node {
   /// after config_ — constructed from its capacity/TTL knobs.
   PeerCache peer_cache_;
 
-  // protocol services (construction order: keepalive before the
-  // services whose hooks consult it is immaterial — hooks fire later —
-  // but keep the dependency direction readable).
+  // protocol services, built once in the constructor and in dependency
+  // order: each is constructed after the siblings it holds references
+  // to, and destroyed before them.
+  /// start() resets it to a fresh engine's state (link tokens restart
+  /// at 1, so a restarted node mints the same wire tokens).
+  std::unique_ptr<LinkingEngine> linking_;
   std::unique_ptr<KeepaliveManager> keepalive_;
   std::unique_ptr<CtmOverlord> ctm_;
   std::unique_ptr<RelayAgent> relays_;
   std::unique_ptr<BootstrapOverlord> bootstrap_;
   std::unique_ptr<CensusAgent> census_;
   std::unique_ptr<ShortcutOverlord> shortcuts_;
-  /// Rebuilt on every start(): an aborted engine carries no stale
-  /// attempt state into the next incarnation.
-  std::unique_ptr<LinkingEngine> linking_;
 
   /// Dispatch layer: datagram frame kinds (FrameKind) and routed
   /// payload types (RoutedType), both dense 1-based kind bytes.

@@ -113,26 +113,18 @@ void Node::register_metrics() {
   auto add_link = [&](const char* name, auto fn) {
     metric_ids_.push_back(reg.add_gauge(name, link_labels, std::move(fn)));
   };
-  // linking_ is rebuilt on every start(); going through the pointer
-  // keeps the gauges valid across restarts (0 while stopped).
-  add_link("link_attempts_started", [this] {
-    return linking_ ? double(linking_->stats().attempts_started) : 0.0;
-  });
-  add_link("link_established_active", [this] {
-    return linking_ ? double(linking_->stats().established_active) : 0.0;
-  });
-  add_link("link_established_passive", [this] {
-    return linking_ ? double(linking_->stats().established_passive) : 0.0;
-  });
-  add_link("link_uri_failovers", [this] {
-    return linking_ ? double(linking_->stats().uri_failovers) : 0.0;
-  });
-  add_link("link_race_aborts", [this] {
-    return linking_ ? double(linking_->stats().race_aborts) : 0.0;
-  });
-  add_link("link_failures", [this] {
-    return linking_ ? double(linking_->stats().failures) : 0.0;
-  });
+  add_link("link_attempts_started",
+           [this] { return double(linking_->stats().attempts_started); });
+  add_link("link_established_active",
+           [this] { return double(linking_->stats().established_active); });
+  add_link("link_established_passive",
+           [this] { return double(linking_->stats().established_passive); });
+  add_link("link_uri_failovers",
+           [this] { return double(linking_->stats().uri_failovers); });
+  add_link("link_race_aborts",
+           [this] { return double(linking_->stats().race_aborts); });
+  add_link("link_failures",
+           [this] { return double(linking_->stats().failures); });
 }
 
 Node::MemoryFootprint Node::memory_footprint() const {
@@ -157,14 +149,13 @@ Node::MemoryFootprint Node::memory_footprint() const {
   f.bootstrap = bootstrap_->memory_bytes() + peer_cache_.memory_bytes() +
                 census_->memory_bytes();
   f.shortcut = shortcuts_->memory_bytes();
-  // Rebuilt each start(); null while stopped.
-  f.linking = linking_ ? linking_->memory_bytes() : 0;
+  f.linking = linking_->memory_bytes();
   f.flight = flight_.memory_bytes();
   f.protocol_state = table_.state_bytes() + keepalive_->state_bytes() +
                      ctm_->state_bytes() + relays_->state_bytes() +
                      bootstrap_->state_bytes() + peer_cache_.state_bytes() +
                      census_->state_bytes() + shortcuts_->state_bytes() +
-                     (linking_ ? linking_->state_bytes() : 0) +
+                     linking_->state_bytes() +
                      flight_.state_bytes() + ledger_.state_bytes();
   return f;
 }

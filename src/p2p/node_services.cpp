@@ -1,9 +1,8 @@
 // The composition root's wiring: construct the protocol services with
-// exactly the hooks they need, and populate the frame/payload dispatch
-// registries (the announce table of §III).  Pure plumbing — every
-// behavior lives in the service implementations or in node.cpp.
-#include <algorithm>
-
+// the sibling services they call and the up-call hooks into Node, and
+// populate the frame/payload dispatch registries (the announce table of
+// §III).  Pure plumbing — every behavior lives in the service
+// implementations or in node.cpp.
 #include "p2p/bootstrap_overlord.h"
 #include "p2p/census_agent.h"
 #include "p2p/ctm_overlord.h"
@@ -16,8 +15,8 @@ namespace wow::p2p {
 
 void Node::build_services() {
   keepalive_ = std::make_unique<KeepaliveManager>(
-      timers_, tracer_, logger_, config_, table_, stats_, trace_node_,
-      log_component_,
+      timers_, tracer_, logger_, config_, table_, stats_, flight_,
+      trace_node_, log_component_,
       KeepaliveManager::Hooks{
           [this](const Connection& c, const LinkFrame& frame) {
             send_link_frame(c, frame);
@@ -25,14 +24,11 @@ void Node::build_services() {
           [this](const Address& peer, DisconnectCause cause) {
             drop_connection(peer, /*send_close=*/false, cause);
           },
-          [this](FlightKind kind, const Address& peer, std::int32_t a,
-                 std::int32_t b) {
-            flight_.record(timers_.now(), kind, peer.brief(), a, b);
-          },
       });
 
   ctm_ = std::make_unique<CtmOverlord>(
-      timers_, rng_, tracer_, config_, table_, stats_, trace_node_,
+      timers_, rng_, tracer_, config_, table_, stats_, flight_, *edges_,
+      *linking_, *keepalive_, peer_cache_, trace_node_,
       CtmOverlord::Hooks{
           [this] { return running_; },
           [this] { return routable(); },
@@ -40,40 +36,13 @@ void Node::build_services() {
           [this](const Connection& next, RoutedPacket packet) {
             forward_to(next, std::move(packet));
           },
-          [this] { return edges_->local_uris(); },
-          [this](const Address& peer, ConnectionType type,
-                 const std::vector<transport::Uri>& uris) {
-            linking_->start(peer, type, uris);
-          },
-          [this](const Address& peer) {
-            return keepalive_->is_quarantined(peer);
-          },
           [this] { update_routable(); },
           [this] { count_parse_reject(); },
-          [this](FlightKind kind, const Address& peer, std::int32_t a) {
-            flight_.record(timers_.now(), kind, peer.brief(), a);
-          },
-          [this](const Address& peer, const std::vector<transport::Uri>& uris,
-                 const Address& source) {
-            // Gossip peer sample from a CTM reply: warm the bootstrap
-            // cache so a later rejoin skips the well-known endpoints.
-            // Samples are hearsay — with defenses on they enter the
-            // cache unverified, attributed to the responder, and capped
-            // per source (poison resistance, DESIGN §16).
-            if (peer == config_.address || uris.empty()) return;
-            bool verified = !config_.defenses_enabled;
-            if (peer_cache_.note(peer, transport::UriList(uris),
-                                 timers_.now(), verified, source)) {
-              ++stats_.gossip_peers_learned;
-            } else {
-              ++stats_.gossip_poison_rejects;
-            }
-          },
       });
 
   relays_ = std::make_unique<RelayAgent>(
-      timers_, tracer_, logger_, config_, table_, stats_, *edges_,
-      trace_node_, log_component_,
+      timers_, tracer_, logger_, config_, table_, stats_, flight_, *edges_,
+      *linking_, *keepalive_, trace_node_, log_component_,
       RelayAgent::Hooks{
           [this](RoutedPacket packet, const net::Endpoint& from) {
             handle_routed(std::move(packet), from);
@@ -87,58 +56,20 @@ void Node::build_services() {
           [this](const Address& peer, DisconnectCause cause) {
             drop_connection(peer, /*send_close=*/false, cause);
           },
-          [this] { return edges_->local_uris(); },
-          [this](const Address& peer) {
-            return linking_ && linking_->attempting(peer);
-          },
-          [this](const Address& peer) {
-            return linking_ && linking_->recently_tried(peer);
-          },
-          [this](const Address& peer) {
-            return keepalive_->is_quarantined(peer);
-          },
           [this](const net::Endpoint& from, int weight) {
             note_misbehavior(from, weight);
           },
-          [this](const Address& peer, ConnectionType type,
-                 const std::vector<transport::Uri>& uris) {
-            linking_->start(peer, type, uris);
-          },
-          [this](const Address& peer) {
-            return keepalive_->peer_rto_hint(peer);
-          },
-          [this](const Address& peer) {
-            return keepalive_->next_direct_probe(peer);
-          },
-          [this](const Address& peer, SimTime when) {
-            keepalive_->set_next_direct_probe(peer, when);
-          },
-          [this](Connection& c) { keepalive_->seed_estimator(c); },
           [this](const Connection& c) {
             if (connection_handler_) connection_handler_(c);
           },
           [this] { update_routable(); },
           [this] { count_parse_reject(); },
-          [this](FlightKind kind, const Address& peer) {
-            flight_.record(timers_.now(), kind, peer.brief());
-          },
       });
 
   bootstrap_ = std::make_unique<BootstrapOverlord>(
       timers_, rng_, tracer_, config_, table_, *edges_, stats_, peer_cache_,
-      trace_node_,
+      flight_, *linking_, trace_node_,
       BootstrapOverlord::Hooks{
-          [this](const Address& peer) {
-            return linking_ && linking_->attempting(peer);
-          },
-          [this](const Address& peer, ConnectionType type,
-                 const std::vector<transport::Uri>& uris) {
-            linking_->start(peer, type, uris);
-          },
-          [this](FlightKind kind, const Address& peer, std::int32_t a,
-                 std::int32_t b) {
-            flight_.record(timers_.now(), kind, peer.brief(), a, b);
-          },
           [this](const Address& peer) {
             drop_connection(peer, /*send_close=*/true,
                             DisconnectCause::kTrimmed);
@@ -146,48 +77,24 @@ void Node::build_services() {
       });
 
   census_ = std::make_unique<CensusAgent>(
-      timers_, tracer_, config_, table_, stats_, trace_node_,
+      timers_, tracer_, config_, table_, stats_, flight_, *edges_, *linking_,
+      trace_node_,
       CensusAgent::Hooks{
           [this] { return running_; },
           [this] { return routable(); },
-          [this] { return edges_->local_uris(); },
-          [this](const net::Endpoint& to, const Bytes& frame) {
-            edges_->send_to(to, frame);
-          },
-          [this](const Address& peer) {
-            return linking_ && linking_->attempting(peer);
-          },
-          [this](const Address& peer, ConnectionType type,
-                 const std::vector<transport::Uri>& uris) {
-            linking_->start(peer, type, uris);
-          },
-          [this](FlightKind kind, const Address& peer, std::int32_t a,
-                 std::int32_t b) {
-            flight_.record(timers_.now(), kind, peer.brief(), a, b);
-          },
       });
 
   shortcuts_ = std::make_unique<ShortcutOverlord>(
       config_.shortcut,
       ShortcutOverlord::Hooks{
           [this](const Address& a) { return table_.contains(a); },
-          [this](const Address& a) {
-            return linking_ && linking_->attempting(a);
-          },
+          [this](const Address& a) { return linking_->attempting(a); },
           [this] { return shortcut_connection_count(); },
           [this](const Address& a) {
             initiate_ctm(a, ConnectionType::kShortcut);
           },
           [this](const Address& a) { return is_quarantined(a); },
-          [this](const Address& a) -> SimDuration {
-            // Adaptive spacing: a shortcut attempt is a CTM plus a link
-            // handshake, each a few round-trips — 8 RTOs is a generous
-            // bound, and the fixed cooldown stays the ceiling.
-            SimDuration hint = keepalive_->peer_rto_hint(a);
-            if (hint == 0) return SimDuration{0};
-            return std::clamp(8 * hint, 2 * kSecond,
-                              config_.shortcut.retry_cooldown);
-          },
+          [this](const Address& a) { return keepalive_->peer_rto_hint(a); },
       });
 }
 

@@ -10,9 +10,7 @@ void RelayAgent::reject_forged(const Address& claimed,
                                const net::Endpoint& from, const char* reason,
                                bool score) {
   ++stats_.forged_relay_rejects;
-  if (hooks_.record_flight) {
-    hooks_.record_flight(FlightKind::kForgedRelay, claimed);
-  }
+  flight_.record(timers_.now(), FlightKind::kForgedRelay, claimed.brief());
   if (tracer_.enabled(TraceClass::kProtocol)) {
     tracer_.event(timers_.now(), "node", trace_node_, "relay.forged",
                   {{"claimed", claimed.brief()},
@@ -20,9 +18,7 @@ void RelayAgent::reject_forged(const Address& claimed,
                    {"reason", reason},
                    {"scored", score}});
   }
-  if (score && hooks_.note_misbehavior) {
-    hooks_.note_misbehavior(from, kMisbehaviorForgedRelay);
-  }
+  if (score) hooks_.note_misbehavior(from, kMisbehaviorForgedRelay);
 }
 
 void RelayAgent::handle_frame(RelayFrame relay, const net::Endpoint& from) {
@@ -135,12 +131,10 @@ void RelayAgent::handle_relay_link(const LinkFrame& frame,
         // we ourselves wanted — an in-flight or recent link attempt, or
         // RTT history from an earlier conversation.  Closes the
         // no-handshake phantom install.
-        bool wanted =
-            (hooks_.link_attempting && hooks_.link_attempting(frame.sender)) ||
-            (hooks_.recently_tried && hooks_.recently_tried(frame.sender)) ||
-            (hooks_.peer_rto_hint && hooks_.peer_rto_hint(frame.sender) > 0);
-        if (!wanted ||
-            (hooks_.is_quarantined && hooks_.is_quarantined(frame.sender))) {
+        bool wanted = linking_.attempting(frame.sender) ||
+                      linking_.recently_tried(frame.sender) ||
+                      keepalive_.peer_rto_hint(frame.sender) > 0;
+        if (!wanted || keepalive_.is_quarantined(frame.sender)) {
           // Not scored: the frame arrived through an honest agent that
           // merely forwarded it.
           reject_forged(frame.sender, from, "unsolicited",
@@ -158,7 +152,7 @@ void RelayAgent::handle_relay_link(const LinkFrame& frame,
       reply.sender = table_.self();
       reply.con_type = ConnectionType::kRelay;
       reply.token = frame.token;
-      reply.uris = hooks_.local_uris();
+      reply.uris = edges_.local_uris();
       edges_.send_to(agent_remote,
                      RelayFrame::wrap(table_.self(), outer.relay,
                                       frame.sender, reply.serialize()));
@@ -282,7 +276,7 @@ void RelayAgent::send_request(const Address& peer) {
   req.sender = table_.self();
   req.con_type = ConnectionType::kRelay;
   req.token = attempt.token;
-  req.uris = hooks_.local_uris();
+  req.uris = edges_.local_uris();
   edges_.send_to(agent_conn->remote,
                  RelayFrame::wrap(table_.self(), agent, peer,
                                   req.serialize()));
@@ -292,7 +286,7 @@ void RelayAgent::send_request(const Address& peer) {
   // the same WAN scale).
   SimDuration wait = kRelayRequestTimeout;
   if (config_.adaptive_timers) {
-    SimDuration hint = hooks_.peer_rto_hint(agent);
+    SimDuration hint = keepalive_.peer_rto_hint(agent);
     if (hint > 0) {
       wait = std::clamp(4 * hint, kSecond, kRelayRequestTimeout);
     }
@@ -327,12 +321,12 @@ void RelayAgent::maintain() {
   std::vector<const Connection*> due;
   table_.for_each([&](const Connection& c) {
     if (!c.is_relay() || c.uris.empty()) return;
-    if (hooks_.link_attempting(c.addr)) return;
-    if (now < hooks_.next_direct_probe(c.addr)) return;
+    if (linking_.attempting(c.addr)) return;
+    if (now < keepalive_.next_direct_probe(c.addr)) return;
     due.push_back(&c);
   });
   for (const Connection* c : due) {
-    hooks_.set_next_direct_probe(c->addr, now + kRelayProbeInterval);
+    keepalive_.set_next_direct_probe(c->addr, now + kRelayProbeInterval);
     if (tracer_.enabled(TraceClass::kProtocol)) {
       tracer_.event(now, "node", trace_node_, "relay.probe",
                     {{"peer", c->addr.brief()}});
@@ -340,7 +334,7 @@ void RelayAgent::maintain() {
     // A plain active handshake over the peer's direct URIs: success
     // lands in on_link_established (the upgrade), exhaustion lands in
     // on_link_failed (keep tunnel, back off).
-    hooks_.link_start(c->addr, ConnectionType::kStructuredNear, c->uris);
+    linking_.start(c->addr, ConnectionType::kStructuredNear, c->uris);
   }
 }
 
@@ -361,7 +355,7 @@ void RelayAgent::add_relay_connection(
   c.uris = uris;
   c.established = timers_.now();
   c.last_heard = timers_.now();
-  hooks_.seed_estimator(c);
+  keepalive_.seed_estimator(c);
   bool added = table_.add(std::move(c));
   if (!added) {
     // The table either refreshed an existing relay entry or protected a
@@ -371,10 +365,8 @@ void RelayAgent::add_relay_connection(
   }
   ++stats_.connections_added;
   ++stats_.relays_established;
-  hooks_.set_next_direct_probe(peer, timers_.now() + kRelayProbeInterval);
-  if (hooks_.record_flight) {
-    hooks_.record_flight(FlightKind::kRelayUp, peer);
-  }
+  keepalive_.set_next_direct_probe(peer, timers_.now() + kRelayProbeInterval);
+  flight_.record(timers_.now(), FlightKind::kRelayUp, peer.brief());
   WOW_LOG(logger_, LogLevel::kInfo, timers_.now(), log_component_,
           "+conn relay " + peer.brief() + " via agent " + agent.brief());
   if (tracer_.enabled(TraceClass::kLifecycle)) {

@@ -13,6 +13,8 @@
 #include "common/trace.h"
 #include "p2p/connection_table.h"
 #include "p2p/edge.h"
+#include "p2p/keepalive.h"
+#include "p2p/linking.h"
 #include "p2p/node_config.h"
 #include "p2p/node_stats.h"
 #include "p2p/packet.h"
@@ -35,7 +37,9 @@ inline constexpr std::size_t kRelayMaxCandidates = 3;
 /// pairs (we are the agent), the tunnel handshake (candidate agents
 /// tried nearest-on-the-ring first), consuming inner frames at the
 /// tunnel endpoint, installing kRelay connections, and the periodic
-/// relay→direct upgrade probes.
+/// relay→direct upgrade probes.  It consults the sibling LinkingEngine
+/// and KeepaliveManager directly; the hooks are up-calls into Node's
+/// frame handling and connection lifecycle.
 class RelayAgent {
  public:
   struct Hooks {
@@ -52,50 +56,30 @@ class RelayAgent {
         send_link_frame;
     std::function<void(const Address& peer, DisconnectCause cause)>
         drop_connection;
-    std::function<std::vector<transport::Uri>()> local_uris;
-    /// Is a link handshake toward `peer` already in flight?
-    std::function<bool(const Address& peer)> link_attempting;
-    /// Was a link attempt toward `peer` started recently (bounded
-    /// memory)?  Optional; part of the tunnel-request mutual-interest
-    /// gate (DESIGN §16).
-    std::function<bool(const Address& peer)> recently_tried;
-    /// Is `peer` quarantined by the keepalive health store?  Optional.
-    std::function<bool(const Address& peer)> is_quarantined;
     /// Score the SOURCE ENDPOINT of a forged relay frame on the owner's
-    /// misbehavior ledger (never a claimed address).  Optional.
+    /// misbehavior ledger (never a claimed address).
     std::function<void(const net::Endpoint& from, int weight)>
         note_misbehavior;
-    /// Begin a direct link handshake (the upgrade probe).
-    std::function<void(const Address& peer, ConnectionType type,
-                       const std::vector<transport::Uri>& uris)>
-        link_start;
-    std::function<SimDuration(const Address& peer)> peer_rto_hint;
-    /// Upgrade-probe cooldown, kept in the peer-health store so it
-    /// survives the tunnel itself.
-    std::function<SimTime(const Address& peer)> next_direct_probe;
-    std::function<void(const Address& peer, SimTime when)>
-        set_next_direct_probe;
-    /// Warm-start a fresh connection's RTT estimator.
-    std::function<void(Connection& c)> seed_estimator;
     /// A kRelay connection entered the table (Node's connection
     /// handler + routable re-check).
     std::function<void(const Connection& c)> connection_added;
     std::function<void()> update_routable;
     std::function<void()> count_parse_reject;
-    /// Post an entry on the owning node's flight recorder (optional —
-    /// isolation tests wire fewer hooks).
-    std::function<void(FlightKind kind, const Address& peer)> record_flight;
   };
 
+  /// `keepalive` holds the peer-health store: RTT hints, quarantine,
+  /// and the upgrade-probe cooldown (kept there so it survives the
+  /// tunnel itself).
   RelayAgent(sim::TimerService& timers, Tracer& tracer, Logger& logger,
              const NodeConfig& config, ConnectionTable& table,
-             NodeStats& stats, EdgeFactory& edges,
+             NodeStats& stats, FlightRecorder& flight, EdgeFactory& edges,
+             LinkingEngine& linking, KeepaliveManager& keepalive,
              const std::string& trace_node, const std::string& log_component,
              Hooks hooks)
       : timers_(timers), tracer_(tracer), logger_(logger), config_(config),
-        table_(table), stats_(stats), edges_(edges),
-        trace_node_(trace_node), log_component_(log_component),
-        hooks_(std::move(hooks)) {}
+        table_(table), stats_(stats), flight_(flight), edges_(edges),
+        linking_(linking), keepalive_(keepalive), trace_node_(trace_node),
+        log_component_(log_component), hooks_(std::move(hooks)) {}
 
   RelayAgent(const RelayAgent&) = delete;
   RelayAgent& operator=(const RelayAgent&) = delete;
@@ -167,7 +151,10 @@ class RelayAgent {
   const NodeConfig& config_;
   ConnectionTable& table_;
   NodeStats& stats_;
+  FlightRecorder& flight_;
   EdgeFactory& edges_;
+  LinkingEngine& linking_;
+  KeepaliveManager& keepalive_;
   const std::string& trace_node_;
   const std::string& log_component_;
   Hooks hooks_;

@@ -13,13 +13,15 @@ void ShortcutOverlord::on_traffic(const Address& peer, SimTime now) {
   e.last_update = now;
 
   if (!config_.enabled || e.score < config_.threshold) return;
+  // Adaptive spacing: a shortcut attempt is a CTM plus a link
+  // handshake, each a few round-trips — 8 RTOs is a generous bound,
+  // and the fixed cooldown stays the ceiling.
   SimDuration cooldown = config_.retry_cooldown;
-  if (hooks_.retry_cooldown_hint) {
-    SimDuration hint = hooks_.retry_cooldown_hint(peer);
-    if (hint > 0) cooldown = hint;
+  if (SimDuration hint = hooks_.peer_rto_hint(peer); hint > 0) {
+    cooldown = std::clamp(8 * hint, 2 * kSecond, config_.retry_cooldown);
   }
   if (now - e.last_attempt < cooldown) return;
-  if (hooks_.is_quarantined && hooks_.is_quarantined(peer)) return;
+  if (hooks_.is_quarantined(peer)) return;
   if (hooks_.has_connection(peer) || hooks_.is_linking(peer)) return;
   if (hooks_.shortcut_count() >=
       static_cast<std::size_t>(config_.max_shortcuts)) {

@@ -37,13 +37,13 @@ class ShortcutOverlord {
     std::function<void(const Address&)> request_shortcut;
     /// Flap quarantine gate: true suppresses a shortcut request to this
     /// peer (the score keeps integrating; the attempt fires once the
-    /// quarantine lapses).  Optional.
+    /// quarantine lapses).
     std::function<bool(const Address&)> is_quarantined;
-    /// Adaptive spacing between attempts to this peer (0 = use
-    /// config.retry_cooldown).  Derived from the peer's measured RTT so
-    /// a nearby peer retries quickly and a distant one is not spammed.
-    /// Optional.
-    std::function<SimDuration(const Address&)> retry_cooldown_hint;
+    /// The peer's measured RTO (0 = none: use config.retry_cooldown).
+    /// Attempts to it are spaced 8 RTOs apart, clamped to
+    /// [2 s, retry_cooldown], so a nearby peer retries quickly and a
+    /// distant one is not spammed.
+    std::function<SimDuration(const Address&)> peer_rto_hint;
   };
 
   ShortcutOverlord(Config config, Hooks hooks)

@@ -1,5 +1,6 @@
 // The layered protocol-service stack: the dispatch registries
-// and the protocol services exercised in isolation behind their hooks.
+// and the protocol services exercised in isolation, with real sibling
+// services and capturing up-call hooks in place of a Node.
 
 #include <gtest/gtest.h>
 
@@ -8,14 +9,19 @@
 #include <utility>
 #include <vector>
 
+#include "common/flight_recorder.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/trace.h"
+#include "net/network.h"
+#include "net/sim_edge.h"
 #include "p2p/census_agent.h"
 #include "p2p/ctm_overlord.h"
 #include "p2p/dispatch.h"
 #include "p2p/keepalive.h"
+#include "p2p/linking.h"
 #include "p2p/node.h"
+#include "p2p/peer_cache.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 
@@ -89,16 +95,76 @@ TEST(Dispatch, UnknownFrameKindIsCountedAndDropped) {
   EXPECT_TRUE(net.nodes[0]->has_direct(net.nodes[1]->address()));
 }
 
-// --- KeepaliveManager in isolation --------------------------------------
+// The LinkingEngine lives as long as its Node: its counters and the
+// node's memory footprint read cleanly before the first start() and
+// after stop(), and restart() hands the next incarnation an engine in
+// a fresh one's state.
+TEST(NodeLifecycle, LinkStatsReadableBeforeStartAndResetOnRestart) {
+  testing::PublicOverlay net(2);
+  p2p::Node& node = *net.nodes[1];
+  EXPECT_EQ(node.link_stats().attempts_started, 0u);
+  EXPECT_EQ(node.link_stats().established_active, 0u);
+  EXPECT_GT(node.memory_footprint().linking, 0u);
+  EXPECT_GT(node.memory_footprint().total(), 0u);
 
-// The keepalive service against a bare connection table and a bare
-// simulator clock: no Node, no network.  The hooks record what the
-// service asked its owner to do.
-struct KeepaliveHarness {
-  KeepaliveHarness() {
-    config.ping_interval = 2 * kSecond;
+  net.start_all();
+  net.sim.run_for(30 * kSecond);
+  ASSERT_TRUE(node.has_direct(net.nodes[0]->address()));
+  const std::uint64_t started = node.link_stats().attempts_started;
+  const std::uint64_t established = node.link_stats().established_active +
+                                    node.link_stats().established_passive;
+  EXPECT_GT(started, 0u);
+  EXPECT_GT(established, 0u);
+
+  // stop() aborts the attempts but leaves the last incarnation's
+  // counters readable.
+  node.stop();
+  EXPECT_EQ(node.link_stats().attempts_started, started);
+  EXPECT_EQ(node.link_stats().established_active +
+                node.link_stats().established_passive,
+            established);
+  EXPECT_GT(node.memory_footprint().linking, 0u);
+
+  node.restart();
+  EXPECT_EQ(node.link_stats().attempts_started, 0u);
+  EXPECT_EQ(node.link_stats().established_active, 0u);
+  EXPECT_EQ(node.link_stats().established_passive, 0u);
+  EXPECT_EQ(node.link_stats().failures, 0u);
+
+  // The reset engine links again.
+  net.sim.run_for(30 * kSecond);
+  EXPECT_TRUE(node.has_direct(net.nodes[0]->address()));
+  EXPECT_GT(node.link_stats().attempts_started, 0u);
+}
+
+// --- protocol services in isolation ------------------------------------
+
+// One node's worth of real collaborators for driving a protocol service
+// without a Node: a simulated clock and network, the node's own bound
+// edge, its flight recorder and peer cache, and real LinkingEngine and
+// KeepaliveManager siblings (wired as LinkPair wires an engine in
+// p2p_unit_test).  The keepalive's up-call hooks record what it asked
+// its owner to do.
+struct ServiceRig {
+  ServiceRig() : network(net) {
+    site = network.add_site("s");
+    edges = bind_host(net::Ipv4Addr(128, 0, 0, 1));
+    linking = std::make_unique<p2p::LinkingEngine>(
+        net, rng, tracer, *edges, table.self(), config.link,
+        p2p::LinkingEngine::Callbacks{
+            [](const p2p::Address&, const std::vector<transport::Uri>&,
+               const net::Endpoint&, p2p::ConnectionType) {},
+            [](const p2p::Address&, p2p::ConnectionType) {},
+            [](const transport::Uri&) {},
+            [this](const p2p::Address& peer) { return table.contains(peer); },
+            {},  // rto_hint
+            {},  // on_rtt_sample
+            {},  // is_quarantined
+            {},  // reply_rejected
+        });
     km = std::make_unique<p2p::KeepaliveManager>(
-        net, tracer, logger, config, table, stats, trace_node, log_component,
+        net, tracer, logger, config, table, stats, flight, trace_node,
+        log_component,
         p2p::KeepaliveManager::Hooks{
             [this](const p2p::Connection&, const p2p::LinkFrame& frame) {
               sent.push_back(frame);
@@ -109,8 +175,15 @@ struct KeepaliveHarness {
               table.remove(peer);
               km->erase_ping_state(peer);
             },
-            {},  // record_flight
         });
+  }
+
+  /// A public host on the rig's network with an edge bound at 17000.
+  std::unique_ptr<net::SimEdgeFactory> bind_host(net::Ipv4Addr ip) {
+    net::Host& host = network.add_host(ip, net::Network::kInternet, site, {});
+    auto e = std::make_unique<net::SimEdgeFactory>(network, host);
+    e->bind(17000);
+    return e;
   }
 
   void add_peer(std::uint64_t addr) {
@@ -122,16 +195,31 @@ struct KeepaliveHarness {
   }
 
   sim::Simulator net;
+  net::Network network;
+  net::SiteId site{};
+  Rng rng{7};
   Tracer tracer;
   Logger logger;
   p2p::NodeConfig config;
   p2p::ConnectionTable table{p2p::Address{100}};
   p2p::NodeStats stats;
+  FlightRecorder flight;
+  p2p::PeerCache cache{16, 10 * kMinute};
   std::string trace_node = "n";
   std::string log_component = "test";
+  std::unique_ptr<net::SimEdgeFactory> edges;
+  std::unique_ptr<p2p::LinkingEngine> linking;
   std::vector<p2p::LinkFrame> sent;
   std::vector<std::pair<p2p::Address, p2p::DisconnectCause>> dropped;
   std::unique_ptr<p2p::KeepaliveManager> km;
+};
+
+// --- KeepaliveManager in isolation --------------------------------------
+
+// The keepalive service against a bare connection table and a bare
+// simulator clock: no Node.
+struct KeepaliveHarness : ServiceRig {
+  KeepaliveHarness() { config.ping_interval = 2 * kSecond; }
 };
 
 TEST(KeepaliveIsolation, PingsIdleConnectionAndPongFeedsEstimator) {
@@ -203,11 +291,12 @@ TEST(KeepaliveIsolation, RepeatedFlapsQuarantineThenLapse) {
 // --- CtmOverlord in isolation -------------------------------------------
 
 // The CTM service against a bare table: hooks capture the packets it
-// routes and the link handshakes it requests.
-struct CtmHarness {
+// routes.
+struct CtmHarness : ServiceRig {
   CtmHarness() {
     ctm = std::make_unique<p2p::CtmOverlord>(
-        net, rng, tracer, config, table, stats, trace_node,
+        net, rng, tracer, config, table, stats, flight, *edges, *linking,
+        *km, cache, trace_node,
         p2p::CtmOverlord::Hooks{
             [] { return true; },   // running
             [] { return false; },  // routable
@@ -217,39 +306,13 @@ struct CtmHarness {
             [this](const p2p::Connection&, p2p::RoutedPacket packet) {
               forwarded.push_back(std::move(packet));
             },
-            [this] { return std::vector<transport::Uri>{uri}; },
-            [this](const p2p::Address& peer, p2p::ConnectionType,
-                   const std::vector<transport::Uri>&) {
-              links.push_back(peer);
-            },
-            [](const p2p::Address&) { return false; },  // is_quarantined
-            [] {},                                      // update_routable
-            [] {},                                      // count_parse_reject
-            {},                                         // record_flight
-            {},                                         // note_peer
+            [] {},  // update_routable
+            [] {},  // count_parse_reject
         });
   }
 
-  void add_peer(std::uint64_t addr) {
-    p2p::Connection c;
-    c.addr = p2p::Address{addr};
-    c.type = p2p::ConnectionType::kStructuredNear;
-    c.remote = net::Endpoint{net::Ipv4Addr(10, 0, 0, 2), 17000};
-    table.add(std::move(c));
-  }
-
-  sim::Simulator net;
-  Rng rng{7};
-  Tracer tracer;
-  p2p::NodeConfig config;
-  p2p::ConnectionTable table{p2p::Address{100}};
-  p2p::NodeStats stats;
-  std::string trace_node = "n";
-  transport::Uri uri{transport::TransportKind::kUdp,
-                     net::Endpoint{net::Ipv4Addr(10, 0, 0, 1), 17000}};
   std::vector<p2p::RoutedPacket> routed;
   std::vector<p2p::RoutedPacket> forwarded;
-  std::vector<p2p::Address> links;
   std::unique_ptr<p2p::CtmOverlord> ctm;
 };
 
@@ -295,29 +358,29 @@ TEST(CtmIsolation, SweepRetriesThenExpiresUnansweredRequests) {
 
 // --- CensusAgent in isolation -------------------------------------------
 
-// The census service against a bare table holding one successor: the
-// send hook captures every frame it forwards.
-struct CensusHarness {
+// The census service against a bare table holding one successor, a
+// second host on the rig's network: every frame the agent forwards is
+// captured where it lands, at the successor's endpoint.
+struct CensusHarness : ServiceRig {
   explicit CensusHarness(bool defenses) {
     config.defenses_enabled = defenses;
+    succ_edges = bind_host(net::Ipv4Addr(128, 0, 0, 2));
+    const net::Endpoint at = succ_edges->local_uri().endpoint;
+    succ_edges->set_receiver([this, at](const net::Endpoint&,
+                                        SharedBytes frame) {
+      sent.emplace_back(at, Bytes(frame.view().begin(), frame.view().end()));
+    });
     p2p::Connection succ;
     succ.addr = p2p::Address{200};
     succ.type = p2p::ConnectionType::kStructuredNear;
-    succ.remote = net::Endpoint{net::Ipv4Addr(10, 0, 0, 2), 17000};
+    succ.remote = at;
     table.add(std::move(succ));
     census = std::make_unique<p2p::CensusAgent>(
-        net, tracer, config, table, stats, trace_node,
+        net, tracer, config, table, stats, flight, *edges, *linking,
+        trace_node,
         p2p::CensusAgent::Hooks{
             [] { return true; },  // running
             [] { return true; },  // routable
-            [] { return std::vector<transport::Uri>{}; },
-            [this](const net::Endpoint& to, const Bytes& frame) {
-              sent.emplace_back(to, frame);
-            },
-            [](const p2p::Address&) { return false; },  // link_attempting
-            [](const p2p::Address&, p2p::ConnectionType,
-               const std::vector<transport::Uri>&) {},  // link_start
-            {},                                         // record_flight
         });
   }
 
@@ -332,12 +395,7 @@ struct CensusHarness {
     return f;
   }
 
-  sim::Simulator net;
-  Tracer tracer;
-  p2p::NodeConfig config;
-  p2p::ConnectionTable table{p2p::Address{100}};
-  p2p::NodeStats stats;
-  std::string trace_node = "n";
+  std::unique_ptr<net::SimEdgeFactory> succ_edges;
   std::vector<std::pair<net::Endpoint, Bytes>> sent;
   std::unique_ptr<p2p::CensusAgent> census;
 };
@@ -345,6 +403,7 @@ struct CensusHarness {
 TEST(CensusIsolation, DefensesCapForgedTtlAtOwnCensusBound) {
   CensusHarness h(/*defenses=*/true);
   h.census->handle(CensusHarness::forged());
+  h.net.run_for(kSecond);
   EXPECT_TRUE(h.sent.empty());
   EXPECT_EQ(h.stats.merges_initiated, 0u);
 }
@@ -352,6 +411,7 @@ TEST(CensusIsolation, DefensesCapForgedTtlAtOwnCensusBound) {
 TEST(CensusIsolation, WithoutDefensesForgedTtlIsForwarded) {
   CensusHarness h(/*defenses=*/false);
   h.census->handle(CensusHarness::forged());
+  h.net.run_for(kSecond);
   ASSERT_EQ(h.sent.size(), 1u);
   EXPECT_EQ(h.sent[0].first, h.table.right_neighbor()->remote);
   auto next = p2p::CensusFrame::parse(h.sent[0].second);

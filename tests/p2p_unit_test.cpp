@@ -104,8 +104,8 @@ struct OverlordHarness {
             [this](const Address& a) { return linking.count(a) != 0; },
             [this] { return shortcut_count; },
             [this](const Address& a) { requested.push_back(a); },
-            {},  // is_quarantined
-            {},  // retry_cooldown_hint
+            [](const Address&) { return false; },  // is_quarantined
+            [](const Address&) { return SimDuration{0}; },  // peer_rto_hint
         });
   }
 
